@@ -1267,7 +1267,10 @@ fn main() {
                 baseline,
                 &json,
                 &["kernel_gflops_1t", "kernel_gflops_nt"],
-                &["kernel_ms_1t", "kernel_ms_nt"],
+                // `threads_1` is the single-threaded ViT train step
+                // (`vit_train_step_ms.threads_1`, a unique key in the
+                // snapshot): the end-to-end guard for the tensor layer.
+                &["kernel_ms_1t", "kernel_ms_nt", "threads_1"],
                 tolerance,
             )),
             None => eprintln!("perf-check: no committed {out_path} baseline, skipping kernels"),

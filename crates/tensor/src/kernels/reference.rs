@@ -4,14 +4,77 @@
 //!
 //! * **oracles** — the property tests assert the blocked/parallel kernels in
 //!   [`super::gemm`] and [`super::conv`] match them within tolerance over
-//!   randomised shapes, strides, paddings and thread counts;
+//!   randomised shapes, strides, paddings and thread counts, and that the
+//!   stride walks behind broadcasting, `reduce_to_shape` and `permute`
+//!   match them **bitwise**;
 //! * **baselines** — the `perf` binary of `pelta-bench` measures speedup of
 //!   the packed kernels against them on the paper workloads.
 //!
 //! They assume pre-validated operands (the public `Tensor` methods do the
 //! shape checking before dispatching to the fast kernels).
 
-use crate::{Conv2dSpec, Result, Tensor};
+use crate::{Conv2dSpec, Result, Shape, Tensor};
+
+/// Naive broadcasting zip `out = f(a, b)`: one `unflatten_index` and two
+/// `broadcast_source_offset` calls per output element.
+///
+/// # Errors
+/// Returns an error if the shapes are not broadcast-compatible.
+pub fn naive_broadcast_zip(a: &Tensor, b: &Tensor, f: impl Fn(f32, f32) -> f32) -> Result<Tensor> {
+    let (lhs_shape, rhs_shape) = (a.shape(), b.shape());
+    let out_shape = lhs_shape.broadcast_with(&rhs_shape)?;
+    let numel = out_shape.numel();
+    let mut data = Vec::with_capacity(numel);
+    for offset in 0..numel {
+        let out_index = out_shape.unflatten_index(offset)?;
+        let x = a.data()[lhs_shape.broadcast_source_offset(&out_index)];
+        let y = b.data()[rhs_shape.broadcast_source_offset(&out_index)];
+        data.push(f(x, y));
+    }
+    Tensor::from_vec(data, out_shape.dims())
+}
+
+/// Naive adjoint of broadcasting: sums `src` into a zero tensor of shape
+/// `target` in ascending source-offset order, one `unflatten_index` and
+/// one `broadcast_source_offset` per source element.
+///
+/// `target` must broadcast to `src`'s shape.
+///
+/// # Errors
+/// Returns an error if a source offset falls out of range (it never does
+/// for a valid `target`).
+pub fn naive_reduce_to_shape(src: &Tensor, target: &[usize]) -> Result<Tensor> {
+    let target_shape = Shape::new(target);
+    let mut out = Tensor::zeros(target);
+    let src_shape = src.shape();
+    for offset in 0..src.numel() {
+        let idx = src_shape.unflatten_index(offset)?;
+        let dst = target_shape.broadcast_source_offset(&idx);
+        out.data_mut()[dst] += src.data()[offset];
+    }
+    Ok(out)
+}
+
+/// Naive axis permutation: one `unflatten_index` and one `flatten_index`
+/// per output element. `axes` must be a permutation of `0..rank`.
+///
+/// # Errors
+/// Returns an error if an index falls out of range.
+pub fn naive_permute(src: &Tensor, axes: &[usize]) -> Result<Tensor> {
+    let src_shape = src.shape();
+    let new_dims: Vec<usize> = axes.iter().map(|&a| src.dims()[a]).collect();
+    let dst_shape = Shape::new(&new_dims);
+    let mut data = vec![0.0f32; src.numel()];
+    for (dst_offset, slot) in data.iter_mut().enumerate() {
+        let dst_index = dst_shape.unflatten_index(dst_offset)?;
+        let mut src_index = vec![0usize; src.rank()];
+        for (dst_axis, &src_axis) in axes.iter().enumerate() {
+            src_index[src_axis] = dst_index[dst_axis];
+        }
+        *slot = src.data()[src_shape.flatten_index(&src_index)?];
+    }
+    Tensor::from_vec(data, &new_dims)
+}
 
 /// Naive i-k-j matrix multiplication `[m, k] × [k, n] → [m, n]`.
 ///

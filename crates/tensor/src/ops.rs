@@ -1,6 +1,7 @@
 //! Element-wise arithmetic, broadcasting binary operations and the
 //! non-linearities used by the neural-network layers and attacks.
 
+use crate::shape::walk;
 use crate::{Result, Shape, Tensor, TensorError};
 
 impl Tensor {
@@ -203,14 +204,17 @@ impl Tensor {
                     lhs: self.dims().to_vec(),
                     rhs: other.dims().to_vec(),
                 })?;
-        let numel = out_shape.numel();
-        let mut data = Vec::with_capacity(numel);
-        for offset in 0..numel {
-            let out_index = out_shape.unflatten_index(offset)?;
-            let a = self.data()[lhs_shape.broadcast_source_offset(&out_index)];
-            let b = other.data()[rhs_shape.broadcast_source_offset(&out_index)];
-            data.push(f(a, b));
-        }
+        let rank = out_shape.rank();
+        let (a, b) = (self.data(), other.data());
+        let mut data = Vec::with_capacity(out_shape.numel());
+        walk(
+            out_shape.dims(),
+            [
+                &lhs_shape.broadcast_strides(rank),
+                &rhs_shape.broadcast_strides(rank),
+            ],
+            |[ia, ib]| data.push(f(a[ia], b[ib])),
+        );
         Tensor::from_vec(data, out_shape.dims())
     }
 
@@ -237,13 +241,18 @@ impl Tensor {
                 rhs: target.to_vec(),
             });
         }
+        // Walking the source row-major sums every destination in ascending
+        // source-offset order.
         let mut out = Tensor::zeros(target);
-        let src_shape = self.shape();
-        for offset in 0..self.numel() {
-            let idx = src_shape.unflatten_index(offset)?;
-            let dst = target_shape.broadcast_source_offset(&idx);
-            out.data_mut()[dst] += self.data()[offset];
-        }
+        let (src, dst) = (self.data(), out.data_mut());
+        walk(
+            self.dims(),
+            [
+                &self.shape().strides(),
+                &target_shape.broadcast_strides(self.rank()),
+            ],
+            |[s, d]| dst[d] += src[s],
+        );
         Ok(out)
     }
 

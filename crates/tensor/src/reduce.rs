@@ -197,9 +197,18 @@ impl Tensor {
     }
 
     /// L∞ (maximum-magnitude) norm over all elements — the norm constraining
-    /// FGSM/PGD/MIM/APGD/SAGA perturbations.
+    /// FGSM/PGD/MIM/APGD/SAGA perturbations. A NaN element makes the norm
+    /// NaN (as it does [`Tensor::l1_norm`] and [`Tensor::l2_norm`]), so a
+    /// NaN-laden perturbation fails every `<= eps` check.
     pub fn linf_norm(&self) -> f32 {
-        self.data().iter().fold(0.0f32, |acc, x| acc.max(x.abs()))
+        self.data().iter().fold(0.0f32, |acc, x| {
+            let m = x.abs();
+            if m > acc || m.is_nan() {
+                m
+            } else {
+                acc
+            }
+        })
     }
 
     /// L1 norm over all elements.
@@ -291,6 +300,21 @@ mod tests {
         assert_eq!(t.l1_norm(), 10.0);
         assert_eq!(t.linf_norm(), 4.0);
         assert!((t.l2_norm() - 30.0f32.sqrt()).abs() < 1e-6);
+    }
+
+    #[test]
+    fn norms_propagate_nan() {
+        for data in [
+            vec![f32::NAN, 1.0, -2.0],
+            vec![1.0, f32::NAN, -2.0],
+            vec![1.0, -2.0, f32::NAN],
+        ] {
+            let t = Tensor::from_vec(data, &[3]).unwrap();
+            assert!(t.linf_norm().is_nan(), "{:?}", t.data());
+            assert!(t.l2_norm().is_nan());
+            assert!(t.l1_norm().is_nan());
+        }
+        assert_eq!(Tensor::from_vec(vec![-0.0], &[1]).unwrap().linf_norm(), 0.0);
     }
 
     #[test]

@@ -133,7 +133,8 @@ impl Shape {
                 other.dims[i - (rank - other.rank())]
             };
             if a == b || a == 1 || b == 1 {
-                *d = a.max(b);
+                // A size-1 axis takes the other side's size, even 0.
+                *d = if a == 1 { b } else { a };
             } else {
                 return Err(TensorError::ShapeMismatch {
                     op: "broadcast",
@@ -157,6 +158,24 @@ impl Shape {
             offset += i * strides[axis];
         }
         offset
+    }
+
+    /// This shape's strides along the axes of a broadcast target of rank
+    /// `rank` (right-aligned, as in [`Shape::broadcast_with`]): the
+    /// row-major stride on a real axis, 0 on a size-1 or padded axis, so a
+    /// walk over the target repeats this operand along its broadcast axes.
+    ///
+    /// # Panics
+    /// Panics if `rank < self.rank()`.
+    pub(crate) fn broadcast_strides(&self, rank: usize) -> Vec<usize> {
+        let pad = rank - self.rank();
+        let mut out = vec![0usize; rank];
+        for (axis, stride) in self.strides().into_iter().enumerate() {
+            if self.dims[axis] != 1 {
+                out[pad + axis] = stride;
+            }
+        }
+        out
     }
 
     /// Whether `self` and `other` have identical dimensions.
@@ -196,6 +215,53 @@ impl Shape {
         let mut dims = self.dims.clone();
         dims[axis] = 1;
         Ok(Shape { dims })
+    }
+}
+
+/// Visits the row-major index space `dims` in ascending output order and
+/// calls `visit` with every operand's element offset.
+///
+/// Operand `k` sits at offset `Σ strides[k][axis] · index[axis]`: its
+/// row-major strides, 0 on an axis it is broadcast along
+/// ([`Shape::broadcast_strides`]), or a permuted stride list to gather
+/// through a transpose. The outer axes advance as an odometer (one
+/// recursion level per axis) and the innermost axis is a tight loop of
+/// stride additions, so the walk allocates nothing and does no division.
+/// A zero-size axis visits nothing; rank 0 visits its one element.
+pub(crate) fn walk<const N: usize>(
+    dims: &[usize],
+    strides: [&[usize]; N],
+    mut visit: impl FnMut([usize; N]),
+) {
+    debug_assert!(strides.iter().all(|s| s.len() == dims.len()));
+    if dims.is_empty() {
+        visit([0; N]);
+    } else {
+        walk_axis(dims, &strides, 0, [0; N], &mut visit);
+    }
+}
+
+/// One odometer digit of [`walk`]: steps `axis` from `base`, recursing into
+/// the next axis or, on the innermost one, visiting each element.
+fn walk_axis<const N: usize, F: FnMut([usize; N])>(
+    dims: &[usize],
+    strides: &[&[usize]; N],
+    axis: usize,
+    base: [usize; N],
+    visit: &mut F,
+) {
+    let step: [usize; N] = std::array::from_fn(|k| strides[k][axis]);
+    let innermost = axis + 1 == dims.len();
+    let mut at = base;
+    for _ in 0..dims[axis] {
+        if innermost {
+            visit(at);
+        } else {
+            walk_axis(dims, strides, axis + 1, at, visit);
+        }
+        for (a, s) in at.iter_mut().zip(step) {
+            *a += s;
+        }
     }
 }
 
@@ -278,6 +344,14 @@ mod tests {
     }
 
     #[test]
+    fn broadcast_one_against_zero_is_empty() {
+        let a = Shape::new(&[2, 0, 1]);
+        let b = Shape::new(&[1, 5]);
+        assert_eq!(a.broadcast_with(&b).unwrap(), Shape::new(&[2, 0, 5]));
+        assert_eq!(b.broadcast_with(&a).unwrap(), Shape::new(&[2, 0, 5]));
+    }
+
+    #[test]
     fn broadcast_incompatible() {
         let a = Shape::new(&[2, 3]);
         let b = Shape::new(&[4, 3]);
@@ -290,6 +364,16 @@ mod tests {
         // Output shape [2, 3]: row index should be ignored for `small`.
         assert_eq!(small.broadcast_source_offset(&[0, 2]), 2);
         assert_eq!(small.broadcast_source_offset(&[1, 2]), 2);
+    }
+
+    #[test]
+    fn walk_visits_row_major_with_operand_strides() {
+        // [2, 3] output, a [1, 3] row broadcast down and a transposed gather.
+        let mut seen = Vec::new();
+        walk(&[2, 3], [&[0, 1], &[1, 2]], |[row, gather]| {
+            seen.push((row, gather))
+        });
+        assert_eq!(seen, vec![(0, 0), (1, 2), (2, 4), (0, 1), (1, 3), (2, 5)]);
     }
 
     #[test]

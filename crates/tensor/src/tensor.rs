@@ -1,6 +1,7 @@
 //! The dense, row-major, contiguous [`Tensor`] type and its structural
 //! operations (construction, reshaping, slicing, concatenation, transposes).
 
+use crate::shape::walk;
 use crate::{Result, Shape, TensorError};
 use rand::Rng;
 use serde::{Deserialize, Serialize};
@@ -295,18 +296,11 @@ impl Tensor {
             }
             seen[a] = true;
         }
-        let src_shape = self.shape();
         let new_dims: Vec<usize> = axes.iter().map(|&a| self.shape[a]).collect();
-        let dst_shape = Shape::new(&new_dims);
-        let mut data = vec![0.0f32; self.data.len()];
-        for dst_offset in 0..self.data.len() {
-            let dst_index = dst_shape.unflatten_index(dst_offset)?;
-            let mut src_index = vec![0usize; self.rank()];
-            for (dst_axis, &src_axis) in axes.iter().enumerate() {
-                src_index[src_axis] = dst_index[dst_axis];
-            }
-            data[dst_offset] = self.data[src_shape.flatten_index(&src_index)?];
-        }
+        let src_strides = self.shape().strides();
+        let gather: Vec<usize> = axes.iter().map(|&a| src_strides[a]).collect();
+        let mut data = Vec::with_capacity(self.data.len());
+        walk(&new_dims, [&gather], |[s]| data.push(self.data[s]));
         Ok(Tensor {
             shape: new_dims,
             data,
@@ -347,13 +341,14 @@ impl Tensor {
                 rank: self.rank(),
             });
         }
-        if start + len > self.shape[axis] {
+        if start
+            .checked_add(len)
+            .is_none_or(|end| end > self.shape[axis])
+        {
             return Err(TensorError::InvalidArgument {
                 op: "narrow",
                 reason: format!(
-                    "range {}..{} exceeds axis length {}",
-                    start,
-                    start + len,
+                    "range {start}..+{len} exceeds axis length {}",
                     self.shape[axis]
                 ),
             });
@@ -662,6 +657,16 @@ mod tests {
         assert_eq!(col.data(), &[1.0, 5.0, 9.0]);
         assert!(t.narrow(0, 2, 2).is_err());
         assert!(t.index_axis(2, 0).is_err());
+    }
+
+    #[test]
+    fn narrow_rejects_an_overflowing_range() {
+        let t = Tensor::arange(12).reshape(&[3, 4]).unwrap();
+        assert!(matches!(
+            t.narrow(0, usize::MAX, 2),
+            Err(TensorError::InvalidArgument { op: "narrow", .. })
+        ));
+        assert!(t.narrow(1, 1, usize::MAX).is_err());
     }
 
     #[test]

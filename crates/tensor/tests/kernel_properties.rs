@@ -5,10 +5,13 @@
 //! reference loops in `pelta_tensor::kernels::reference` over randomised
 //! shapes, strides and paddings — and against itself across thread counts,
 //! where the determinism contract requires **bitwise** identical results.
+//! The stride walks behind broadcasting, `reduce_to_shape` and `permute`
+//! must match their naive index loops bitwise too.
 
 use pelta_tensor::kernels::{conv, gemm::gemm, reference};
 use pelta_tensor::pool::ThreadPool;
 use pelta_tensor::{Conv2dSpec, Tensor};
+use proptest::collection::vec;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -31,7 +34,7 @@ fn assert_bitwise(one: &[f32], many: &[f32], what: &str) {
     assert_eq!(
         one.to_bits_vec(),
         many.to_bits_vec(),
-        "{what}: thread counts disagree bitwise"
+        "{what}: results disagree bitwise"
     );
 }
 
@@ -202,6 +205,190 @@ proptest! {
             let slice = fast.index_axis(0, bi).unwrap();
             assert_close(slice.data(), naive.data(), "batch_matmul");
         }
+    }
+}
+
+/// `dims` with the axes whose bit is set in `ones` shrunk to 1 and the
+/// leading `drop` axes removed — a shape that broadcasts to `dims`.
+fn broadcastable(dims: &[usize], ones: usize, drop: usize) -> Vec<usize> {
+    let kept: Vec<usize> = dims
+        .iter()
+        .enumerate()
+        .map(|(axis, &d)| if ones >> axis & 1 == 1 { 1 } else { d })
+        .collect();
+    kept[drop.min(kept.len())..].to_vec()
+}
+
+/// `dims` with axis `zero` (if in range) set to 0.
+fn with_zero_axis(mut dims: Vec<usize>, zero: usize) -> Vec<usize> {
+    if let Some(d) = dims.get_mut(zero) {
+        *d = 0;
+    }
+    dims
+}
+
+/// Every permutation of `0..rank`, in lexicographic order.
+fn permutations(rank: usize) -> Vec<Vec<usize>> {
+    if rank == 0 {
+        return vec![Vec::new()];
+    }
+    let mut out = Vec::new();
+    for first in 0..rank {
+        for rest in permutations(rank - 1) {
+            let mut p = vec![first];
+            p.extend(rest.into_iter().map(|a| if a >= first { a + 1 } else { a }));
+            out.push(p);
+        }
+    }
+    out
+}
+
+/// A public broadcasting binary op, and the scalar function it applies.
+type Zip = (
+    &'static str,
+    fn(&Tensor, &Tensor) -> pelta_tensor::Result<Tensor>,
+    fn(f32, f32) -> f32,
+);
+
+/// Every public broadcasting binary op.
+const ZIPS: [Zip; 6] = [
+    ("add", Tensor::add, |x, y| x + y),
+    ("sub", Tensor::sub, |x, y| x - y),
+    ("mul", Tensor::mul, |x, y| x * y),
+    ("div", Tensor::div, |x, y| x / y),
+    ("maximum", Tensor::maximum, f32::max),
+    ("minimum", Tensor::minimum, f32::min),
+];
+
+/// Every broadcasting op on `a`, `b` equals the naive index loop bitwise.
+fn assert_zips_match_reference(a: &Tensor, b: &Tensor) {
+    for (name, op, f) in ZIPS {
+        let fast = op(a, b).unwrap();
+        let naive = reference::naive_broadcast_zip(a, b, f).unwrap();
+        assert_eq!(
+            fast.dims(),
+            naive.dims(),
+            "{name} {:?} {:?}",
+            a.dims(),
+            b.dims()
+        );
+        assert_bitwise(fast.data(), naive.data(), name);
+    }
+}
+
+/// `src.reduce_to_shape(target)` equals the naive loop bitwise (or, for the
+/// identity target, `src` itself).
+fn assert_reduce_matches_reference(src: &Tensor, target: &[usize]) {
+    let fast = src.reduce_to_shape(target).unwrap();
+    let want = if src.dims() == target {
+        src.clone()
+    } else {
+        reference::naive_reduce_to_shape(src, target).unwrap()
+    };
+    assert_eq!(fast.dims(), want.dims(), "{:?} -> {target:?}", src.dims());
+    assert_bitwise(fast.data(), want.data(), "reduce_to_shape");
+}
+
+/// Every permutation of `src`'s axes equals the naive gather bitwise.
+fn assert_permutes_match_reference(src: &Tensor) {
+    for axes in permutations(src.rank()) {
+        let fast = src.permute(&axes).unwrap();
+        let naive = reference::naive_permute(src, &axes).unwrap();
+        assert_eq!(fast.dims(), naive.dims(), "{:?} by {axes:?}", src.dims());
+        assert_bitwise(fast.data(), naive.data(), "permute");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Broadcasting binary ops equal the seed's index loop bitwise over
+    /// random shapes up to rank 4: each side independently broadcast on a
+    /// random subset of axes (so both-sided `[3,1] + [1,4]` cases occur),
+    /// rank-padded by dropping leading axes, sometimes with a zero-size axis.
+    #[test]
+    fn prop_broadcast_zip_matches_reference_bitwise(
+        dims in vec(1usize..5, 0..=4),
+        zero in 0usize..12,
+        ones_a in 0usize..16,
+        ones_b in 0usize..16,
+        drop_a in 0usize..5,
+        drop_b in 0usize..5,
+        seed in 0u64..1_000,
+    ) {
+        let dims = with_zero_axis(dims, zero);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let a = Tensor::rand_uniform(&broadcastable(&dims, ones_a, drop_a), -2.0, 2.0, &mut rng);
+        let b = Tensor::rand_uniform(&broadcastable(&dims, ones_b, drop_b), -2.0, 2.0, &mut rng);
+        assert_zips_match_reference(&a, &b);
+        assert_zips_match_reference(&b, &a);
+    }
+
+    /// `reduce_to_shape` equals the seed's ascending-offset summation loop
+    /// bitwise for every target that broadcasts to the source: random
+    /// collapsed axes, dropped leading axes and zero-size axes up to rank 4.
+    #[test]
+    fn prop_reduce_to_shape_matches_reference_bitwise(
+        dims in vec(1usize..6, 0..=4),
+        zero in 0usize..12,
+        ones in 0usize..16,
+        drop in 0usize..5,
+        seed in 0u64..1_000,
+    ) {
+        let dims = with_zero_axis(dims, zero);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        let src = Tensor::rand_uniform(&dims, -2.0, 2.0, &mut rng);
+        assert_reduce_matches_reference(&src, &broadcastable(&dims, ones, drop));
+    }
+
+    /// Every axis permutation of a random tensor up to rank 4 (including
+    /// size-1 and zero-size axes) equals the seed's gather loop bitwise.
+    #[test]
+    fn prop_permute_matches_reference_bitwise(
+        dims in vec(1usize..5, 0..=4),
+        zero in 0usize..12,
+        seed in 0u64..1_000,
+    ) {
+        let dims = with_zero_axis(dims, zero);
+        let mut rng = ChaCha8Rng::seed_from_u64(seed);
+        assert_permutes_match_reference(&Tensor::rand_uniform(&dims, -2.0, 2.0, &mut rng));
+    }
+}
+
+/// The named shapes the model layers use, plus the edge ranks, against the
+/// naive loops bitwise.
+#[test]
+fn stride_walks_match_reference_on_named_shapes() {
+    let mut rng = ChaCha8Rng::seed_from_u64(7);
+    let mut t = |dims: &[usize]| Tensor::rand_uniform(dims, -2.0, 2.0, &mut rng);
+    let pairs: [(&[usize], &[usize]); 8] = [
+        (&[3, 1], &[1, 4]),         // both-sided broadcast
+        (&[2, 17, 8], &[8]),        // [B,T,D] + [D] bias add
+        (&[2, 17, 8], &[17, 8]),    // positional embedding
+        (&[2, 17, 8], &[2, 17, 1]), // layer-norm statistics
+        (&[], &[2, 3]),             // rank-0 operand
+        (&[], &[]),                 // rank-0 both sides
+        (&[0, 3], &[3]),            // zero-size axis
+        (&[2, 0, 1], &[1, 5]),      // zero-size against broadcast
+    ];
+    for (a, b) in pairs {
+        let (a, b) = (t(a), t(b));
+        assert_zips_match_reference(&a, &b);
+        assert_zips_match_reference(&b, &a);
+    }
+    let reductions: [(&[usize], &[usize]); 6] = [
+        (&[2, 17, 8], &[8]),
+        (&[2, 17, 8], &[1, 17, 1]),
+        (&[3, 4], &[]),
+        (&[], &[]),
+        (&[2, 0, 3], &[3]),
+        (&[2, 0, 3], &[2, 1, 1]),
+    ];
+    for (src, target) in reductions {
+        assert_reduce_matches_reference(&t(src), target);
+    }
+    for dims in [&[2, 17, 4, 2][..], &[], &[1, 1, 3], &[2, 0, 3, 1]] {
+        assert_permutes_match_reference(&t(dims));
     }
 }
 
