@@ -52,7 +52,7 @@
 //! [`crate::topology`] for the routing details and the cross-topology
 //! bit-determinism contract.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 use pelta_data::{federated_split, Dataset, Partition};
 use pelta_models::{accuracy, ImageModel, TrainingConfig, ViTConfig, VisionTransformer};
@@ -71,9 +71,11 @@ use crate::poisoning::{AdaptiveBackdoorAgent, BackdoorAgent, BackdoorClient};
 use crate::scenario::{AgentRole, ScenarioSpec};
 use crate::secure_agg::{pair_seeds_for_client, AggregatorMaskContext, ClientMaskContext};
 use crate::server::RoundSummary;
+use crate::sweep::{self, Seats};
 use crate::topology::{EdgeAggregator, GossipMesh, Topology};
+use crate::transport::traffic;
 use crate::{
-    AggregationRule, BroadcastFrame, Delivery, FedAvgServer, FlError, MemberUpdate, Message,
+    AggregationRule, BroadcastFrame, EdgePump, FedAvgServer, FlError, MemberUpdate, Message,
     ModelUpdate, NackReason, ParticipationPolicy, Result, ShieldedUpdateChannel, Transport,
     TransportKind, UpdateCodec,
 };
@@ -394,21 +396,13 @@ impl Fabric {
     /// Messages and logical bytes sent by the fabric's runtime-side link
     /// ends (the counterpart of the agents' own counters).
     fn traffic(&self) -> (usize, usize) {
+        let ends = |links: &[Box<dyn Transport>]| traffic(links.iter().map(|link| link.as_ref()));
         match self {
-            Fabric::Star { links } => links
+            Fabric::Star { links } => ends(links),
+            Fabric::Hierarchical { edges, uplinks } => edges
                 .iter()
-                .map(|link| (link.messages_sent(), link.bytes_sent()))
-                .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db)),
-            Fabric::Hierarchical { edges, uplinks } => {
-                let from_edges = edges
-                    .iter()
-                    .map(EdgeAggregator::traffic)
-                    .fold((0, 0), |(m, b), (dm, db)| (m + dm, b + db));
-                uplinks
-                    .iter()
-                    .map(|link| (link.messages_sent(), link.bytes_sent()))
-                    .fold(from_edges, |(m, b), (dm, db)| (m + dm, b + db))
-            }
+                .map(EdgeAggregator::traffic)
+                .fold(ends(uplinks), |(m, b), (dm, db)| (m + dm, b + db)),
             Fabric::Gossip { mesh } => mesh.traffic(),
         }
     }
@@ -435,14 +429,20 @@ pub struct Federation {
     faults: Option<FaultPlan>,
 }
 
-/// Whether an edge aggregator is inside its scripted dark window at
-/// `round` — crashed in an earlier round, not yet rejoined. At the crash
-/// round itself the edge still collects (it dies mid-round, at close time);
-/// at the rejoin round it has already re-synced.
-fn edge_dark(faults: &Option<FaultPlan>, edge: usize, round: usize) -> bool {
-    faults.as_ref().is_some_and(|plan| {
-        plan.edge_crash(edge)
-            .is_some_and(|(crash, rejoin)| round > crash && round < rejoin)
+/// The edge aggregators up at `round`. An edge inside its scripted dark
+/// window — crashed in an earlier round, not yet rejoined — is a dead
+/// process. At the crash round itself the edge still collects (it dies
+/// mid-round, at close time); at the rejoin round it has already re-synced.
+fn live_edges<'a>(
+    edges: &'a mut [EdgeAggregator],
+    faults: &'a Option<FaultPlan>,
+    round: usize,
+) -> impl Iterator<Item = &'a mut EdgeAggregator> {
+    edges.iter_mut().filter(move |edge| {
+        !faults.as_ref().is_some_and(|plan| {
+            plan.edge_crash(edge.edge_id())
+                .is_some_and(|(crash, rejoin)| round > crash && round < rejoin)
+        })
     })
 }
 
@@ -870,23 +870,13 @@ impl Federation {
                         slot.agent.join()?;
                     }
                 }
-                if let Fabric::Hierarchical { edges, .. } = &self.fabric {
-                    let rejoining: Vec<usize> = edges
-                        .iter()
-                        .map(EdgeAggregator::edge_id)
-                        .filter(|&edge| {
-                            plan.edge_crash(edge)
-                                .is_some_and(|(_, rejoin)| rejoin == round_index)
-                        })
-                        .collect();
-                    if !rejoining.is_empty() {
-                        let checkpoint = self.server.checkpoint();
-                        if let Fabric::Hierarchical { edges, .. } = &mut self.fabric {
-                            for edge in edges.iter_mut() {
-                                if rejoining.contains(&edge.edge_id()) {
-                                    edge.resync(&checkpoint)?;
-                                }
-                            }
+                if let Fabric::Hierarchical { edges, .. } = &mut self.fabric {
+                    for edge in edges.iter_mut() {
+                        if plan
+                            .edge_crash(edge.edge_id())
+                            .is_some_and(|(_, rejoin)| rejoin == round_index)
+                        {
+                            edge.resync(&self.server.checkpoint())?;
                         }
                     }
                 }
@@ -920,13 +910,10 @@ impl Federation {
                     }
                 }
                 Fabric::Hierarchical { edges, .. } => {
-                    for edge in edges.iter_mut() {
-                        // A crashed edge cannot open a round: its sampled
-                        // members see silence and the root degrades through
-                        // the quorum/withholding path.
-                        if edge_dark(&self.faults, edge.edge_id(), round_index) {
-                            continue;
-                        }
+                    // A crashed edge cannot open a round: its sampled
+                    // members see silence and the root degrades through the
+                    // quorum/withholding path.
+                    for edge in live_edges(edges, &self.faults, round_index) {
                         let subset: Vec<usize> = participants
                             .iter()
                             .copied()
@@ -1056,81 +1043,62 @@ impl Federation {
             faults,
             ..
         } = self;
-        loop {
-            let mut delivered = false;
-            match fabric {
-                Fabric::Star { links } => {
-                    // Only seats with queued traffic are visited; responses
-                    // flow server→client and never re-activate a drained
-                    // seat, so the active list shrinks to quiescence.
-                    let mut active: Vec<usize> = (0..links.len())
-                        .filter(|&index| links[index].has_pending())
-                        .collect();
-                    while !active.is_empty() {
-                        let mut next = Vec::with_capacity(active.len());
-                        for &index in &active {
-                            if let Some(message) = links[index].recv()? {
-                                for response in server.deliver(&message) {
-                                    links[index].send(&response)?;
-                                }
-                                if links[index].has_pending() {
-                                    next.push(index);
-                                }
-                            }
-                        }
-                        active = next;
-                    }
-                }
-                Fabric::Hierarchical { edges, uplinks } => {
-                    for edge in edges.iter_mut() {
-                        // A dead edge relays nothing; its members' traffic
-                        // queues until the rejoin-round resync discards it.
-                        if edge_dark(faults, edge.edge_id(), server.round()) {
-                            continue;
-                        }
-                        delivered |= edge.pump_idle()?;
-                    }
-                    for uplink in uplinks.iter_mut() {
-                        while let Some(message) = uplink.recv()? {
-                            delivered = true;
+        match fabric {
+            Fabric::Star { links } => {
+                // Only seats with queued traffic are visited; responses
+                // flow server→client and never re-activate a drained seat,
+                // so the active list shrinks to quiescence.
+                let mut active: Vec<usize> = (0..links.len())
+                    .filter(|&index| links[index].has_pending())
+                    .collect();
+                while !active.is_empty() {
+                    let mut next = Vec::with_capacity(active.len());
+                    for &index in &active {
+                        if let Some(message) = links[index].recv()? {
                             for response in server.deliver(&message) {
-                                uplink.send(&response)?;
+                                links[index].send(&response)?;
+                            }
+                            if links[index].has_pending() {
+                                next.push(index);
                             }
                         }
                     }
-                    for edge in edges.iter_mut() {
-                        if edge_dark(faults, edge.edge_id(), server.round()) {
-                            continue;
-                        }
-                        delivered |= edge.pump_downstream()? > 0;
-                    }
-                }
-                Fabric::Gossip { mesh } => {
-                    let (moved, control) = mesh.pump_idle()?;
-                    delivered |= moved;
-                    for (peer, message) in control {
-                        for response in server.deliver(&message) {
-                            mesh.send_to(peer, &response)?;
-                        }
-                    }
+                    active = next;
                 }
             }
-            if !delivered {
-                return Ok(());
-            }
+            Fabric::Hierarchical { edges, uplinks } => loop {
+                // A dead edge relays nothing; its members' traffic queues
+                // until the rejoin-round resync discards it.
+                let mut delivered = false;
+                for edge in live_edges(edges, faults, server.round()) {
+                    delivered |= edge.pump_idle()?;
+                }
+                let mut root = RootSeats {
+                    links: uplinks,
+                    ..RootSeats::new(server)
+                };
+                delivered |= sweep::drain_idle(&mut root, uplinks.len())?;
+                for edge in live_edges(edges, faults, server.round()) {
+                    delivered |= edge.pump_downstream()? > 0;
+                }
+                if !delivered {
+                    break;
+                }
+            },
+            Fabric::Gossip { mesh } => while mesh.pump_idle(|message| server.deliver(message))? {},
         }
+        Ok(())
     }
 
-    /// Drains the round's update traffic through the fabric in
-    /// deterministic sweeps and returns `(sealed bytes, edge summaries,
-    /// gossip frames)`.
+    /// Drains the round's update traffic through the fabric under the
+    /// sweep engine's discipline (see `crate::sweep`) and returns `(sealed
+    /// bytes, edge summaries, gossip frames, mask stash)`.
     ///
-    /// * **Star** — ascending client id, one message per link per sweep,
-    ///   each client's messages gated by its scheduled latency; shielded
+    /// * **Star** — the client links feed the root directly; shielded
     ///   segments are reassembled through the server's enclave channel
     ///   before delivery.
-    /// * **Hierarchical** — the same sweep discipline runs per subtree at
-    ///   the edges; edges then close in ascending edge order (per-level
+    /// * **Hierarchical** — the same discipline runs per subtree at the
+    ///   edges; edges then close in ascending edge order (per-level
     ///   quorum/straggler semantics) and forward combined frames, which the
     ///   root unwraps member-by-member in ascending client order — unsealing
     ///   each member through its enclave channel — before the edges relay
@@ -1152,119 +1120,26 @@ impl Federation {
         // opened; the stash feeds the post-round enclave fold.
         let mut mask_stash: Option<MaskStash> = masks.as_ref().map(|_| MaskStash::new());
         let max_latency = slots.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
-        match fabric {
+        let round = server.round();
+        let mut root = RootSeats {
+            slots: Some(slots),
+            shield: server_shield.as_ref(),
+            stash: mask_stash.as_mut(),
+            ..RootSeats::new(server)
+        };
+        let (edge_summaries, gossip_messages) = match fabric {
             Fabric::Star { links } => {
-                let mut shielded_bytes = 0usize;
-                // All of the round's client→server traffic is queued before
-                // delivery starts (agents already stepped; responses flow
-                // server→client), so the seats with pending uplink traffic
-                // are fixed at sweep 0 and the active set only shrinks —
-                // each sweep visits active seats instead of the whole
-                // population, in the same ascending-client-id order.
-                let mut active: std::collections::BTreeSet<usize> = (0..links.len())
-                    .filter(|&index| links[index].has_pending())
-                    .collect();
-                let mut sweep = 0usize;
-                loop {
-                    if let Some(plan) = faults {
-                        plan.set_sweep(sweep);
-                    }
-                    let mut delivered = false;
-                    let mut pending_future = false;
-                    let mut drained = Vec::new();
-                    for &index in &active {
-                        if slots[index].schedule.latency > sweep {
-                            // Active ⇒ the link still holds traffic.
-                            pending_future = true;
-                            continue;
-                        }
-                        match links[index].recv_checked()? {
-                            Delivery::Empty => {
-                                if links[index].has_pending() {
-                                    // A fault wrapper is holding traffic
-                                    // (reorder, partition, retransmission)
-                                    // for a later sweep.
-                                    pending_future = true;
-                                } else {
-                                    drained.push(index);
-                                }
-                                continue;
-                            }
-                            Delivery::Frame(message) => {
-                                delivered = true;
-                                let (message, sealed) = reassemble(
-                                    server.parameters(),
-                                    server_shield.as_ref(),
-                                    mask_stash.as_mut(),
-                                    message,
-                                )?;
-                                shielded_bytes += sealed;
-                                for response in server.deliver(&message) {
-                                    links[index].send(&response)?;
-                                }
-                            }
-                            Delivery::Faulted {
-                                sender,
-                                round,
-                                lost,
-                            } => {
-                                delivered = true;
-                                // A damaged delivery burns the straggler
-                                // budget like any delivered frame; a frame
-                                // lost outright does not — nothing arrived.
-                                // Either way the sender gets the refusal
-                                // that triggers retransmission.
-                                let responses = if lost {
-                                    vec![Message::Nack {
-                                        client_id: sender,
-                                        round,
-                                        reason: NackReason::CorruptFrame,
-                                    }]
-                                } else {
-                                    server.deliver_corrupt(sender, round)
-                                };
-                                for response in responses {
-                                    links[index].send(&response)?;
-                                }
-                            }
-                        }
-                        if !links[index].has_pending() {
-                            drained.push(index);
-                        }
-                    }
-                    for index in drained {
-                        active.remove(&index);
-                    }
-                    if !delivered && !pending_future && sweep >= max_latency {
-                        return Ok((shielded_bytes, Vec::new(), 0, mask_stash));
-                    }
-                    sweep += 1;
-                }
+                root.links = links;
+                sweep::drive(faults.as_ref(), 0, max_latency, |sweep| {
+                    sweep::walk_pending(&mut root, links.len(), sweep)
+                })?;
+                (Vec::new(), 0)
             }
             Fabric::Hierarchical { edges, uplinks } => {
                 // Phase 1: member → edge sweeps, all subtrees in lockstep.
-                // Dark edges are dead processes: they pump nothing.
-                let round = server.round();
-                let mut sweep = 0usize;
-                loop {
-                    if let Some(plan) = faults {
-                        plan.set_sweep(sweep);
-                    }
-                    let mut delivered = false;
-                    let mut pending_future = false;
-                    for edge in edges.iter_mut() {
-                        if edge_dark(faults, edge.edge_id(), round) {
-                            continue;
-                        }
-                        let pump = edge.pump(sweep)?;
-                        delivered |= pump.delivered;
-                        pending_future |= pump.pending_future;
-                    }
-                    if !delivered && !pending_future && sweep >= max_latency {
-                        break;
-                    }
-                    sweep += 1;
-                }
+                let sweep = sweep::drive(faults.as_ref(), 0, max_latency, |sweep| {
+                    pump_edges(edges, faults, round, sweep)
+                })?;
                 // Phase 2: edges close their subtree rounds and forward —
                 // unless this is the round a scripted crash kills the edge:
                 // it dies here, mid-round, with its stash, and the root
@@ -1282,133 +1157,30 @@ impl Federation {
                     if !crashes_now && edge.round_open() {
                         edge_summaries.push(edge.close_and_forward()?);
                     } else {
-                        edge_summaries.push(RoundSummary {
-                            round,
-                            participants: Vec::new(),
-                            reporters: Vec::new(),
-                            stragglers: Vec::new(),
-                            dropouts: Vec::new(),
-                            total_weight: 0,
-                            delivered_messages: 0,
-                            update_bytes: 0,
-                        });
+                        edge_summaries.push(RoundSummary::withheld(round, Vec::new()));
                     }
                 }
                 // Phase 3: the root unwraps the combined frames. The sweep
                 // clock keeps ticking from phase 1 so fault wrappers on the
-                // uplinks release their held/retransmitted frames; a second
-                // combined frame from an origin already folded (a duplicated
-                // uplink frame) is refused wholesale, first-wins.
-                let mut shielded_bytes = 0usize;
-                let mut folded_origins: std::collections::BTreeSet<usize> =
-                    std::collections::BTreeSet::new();
-                loop {
-                    if let Some(plan) = faults {
-                        plan.set_sweep(sweep);
-                    }
-                    let mut delivered = false;
-                    let mut pending_future = false;
-                    for uplink in uplinks.iter_mut() {
-                        match uplink.recv_checked()? {
-                            Delivery::Empty => {
-                                pending_future |= uplink.has_pending();
-                                continue;
-                            }
-                            Delivery::Frame(message) => {
-                                delivered = true;
-                                match message {
-                                    Message::AggregateUpdate {
-                                        origin,
-                                        round: frame_round,
-                                        members,
-                                    } => {
-                                        if !folded_origins.insert(origin) {
-                                            uplink.send(&Message::Nack {
-                                                client_id: origin,
-                                                round: frame_round,
-                                                reason: NackReason::Duplicate,
-                                            })?;
-                                            continue;
-                                        }
-                                        for member in members {
-                                            let wrapped = Message::Update {
-                                                update: member.update,
-                                                shielded: member.shielded,
-                                            };
-                                            let (wrapped, sealed) = reassemble(
-                                                server.parameters(),
-                                                server_shield.as_ref(),
-                                                mask_stash.as_mut(),
-                                                wrapped,
-                                            )?;
-                                            shielded_bytes += sealed;
-                                            for response in server.deliver(&wrapped) {
-                                                uplink.send(&response)?;
-                                            }
-                                        }
-                                    }
-                                    other => {
-                                        for response in server.deliver(&other) {
-                                            uplink.send(&response)?;
-                                        }
-                                    }
-                                }
-                            }
-                            Delivery::Faulted {
-                                sender,
-                                round: frame_round,
-                                lost,
-                            } => {
-                                delivered = true;
-                                let responses = if lost {
-                                    vec![Message::Nack {
-                                        client_id: sender,
-                                        round: frame_round,
-                                        reason: NackReason::CorruptFrame,
-                                    }]
-                                } else {
-                                    server.deliver_corrupt(sender, frame_round)
-                                };
-                                for response in responses {
-                                    uplink.send(&response)?;
-                                }
-                            }
-                        }
-                        pending_future |= uplink.has_pending();
-                    }
-                    if !delivered && !pending_future {
-                        break;
-                    }
-                    sweep += 1;
-                }
+                // uplinks release their held/retransmitted frames.
+                root.links = uplinks;
+                root.slots = None;
+                root.folded_origins = Some(BTreeSet::new());
+                sweep::drive(faults.as_ref(), sweep, max_latency, |sweep| {
+                    sweep::walk_each(&mut root, 0..uplinks.len(), sweep)
+                })?;
                 // Phase 4: edges relay the root's refusals to their members.
-                for edge in edges.iter_mut() {
-                    if edge_dark(faults, edge.edge_id(), round) {
-                        continue;
-                    }
+                for edge in live_edges(edges, faults, round) {
                     edge.pump_downstream()?;
                 }
-                Ok((shielded_bytes, edge_summaries, 0, mask_stash))
+                (edge_summaries, 0)
             }
             Fabric::Gossip { mesh } => {
-                // Phase 1: collect each peer's own update and the round's
-                // control traffic over the coordinator links.
-                let mut sweep = 0usize;
-                loop {
-                    if let Some(plan) = faults {
-                        plan.set_sweep(sweep);
-                    }
-                    let pump = mesh.pump_collect(sweep)?;
-                    for (peer, message) in pump.control {
-                        for response in server.deliver(&message) {
-                            mesh.send_to(peer, &response)?;
-                        }
-                    }
-                    if !pump.delivered && !pump.pending_future && sweep >= max_latency {
-                        break;
-                    }
-                    sweep += 1;
-                }
+                // Phase 1: collect each peer's own update; the round's
+                // control traffic feeds the coordinator's state machine.
+                mesh.collect(faults.as_ref(), max_latency, |message| {
+                    root.server.deliver(message)
+                })?;
                 // Phase 2: flood the mesh to quiescence.
                 let gossip_messages = mesh.exchange()?;
                 // Phase 3: the coordinator folds the converged union through
@@ -1420,13 +1192,15 @@ impl Federation {
                         update,
                         shielded: Vec::new(),
                     };
-                    for response in server.deliver(&message) {
+                    for response in root.server.deliver(&message) {
                         mesh.send_to(client_id, &response)?;
                     }
                 }
-                Ok((0, Vec::new(), gossip_messages, None))
+                (Vec::new(), gossip_messages)
             }
-        }
+        };
+        let shielded_bytes = root.shielded_bytes;
+        Ok((shielded_bytes, edge_summaries, gossip_messages, mask_stash))
     }
 
     /// Closes the round towards the participants: [`Message::RoundEnd`]
@@ -1434,40 +1208,23 @@ impl Federation {
     /// gossip coordinator links.
     fn send_round_end(&mut self, summary: &RoundSummary) -> Result<()> {
         let Federation { slots, fabric, .. } = self;
+        let end = Message::RoundEnd {
+            round: summary.round,
+        };
+        let mut online = summary.participants.iter().filter(|&&id| slots[id].online);
         match fabric {
-            Fabric::Star { links } => {
-                for &id in &summary.participants {
-                    if slots[id].online {
-                        links[id].send(&Message::RoundEnd {
-                            round: summary.round,
-                        })?;
-                    }
-                }
-            }
+            Fabric::Star { links } => online.try_for_each(|&id| links[id].send(&end)),
             Fabric::Hierarchical { edges, uplinks } => {
                 for (edge, uplink) in edges.iter_mut().zip(uplinks.iter_mut()) {
                     if edge.served_round(summary.round) {
-                        uplink.send(&Message::RoundEnd {
-                            round: summary.round,
-                        })?;
+                        uplink.send(&end)?;
                         edge.pump_downstream()?;
                     }
                 }
+                Ok(())
             }
-            Fabric::Gossip { mesh } => {
-                for &id in &summary.participants {
-                    if slots[id].online {
-                        mesh.send_to(
-                            id,
-                            &Message::RoundEnd {
-                                round: summary.round,
-                            },
-                        )?;
-                    }
-                }
-            }
+            Fabric::Gossip { mesh } => online.try_for_each(|&id| mesh.send_to(id, &end)),
         }
-        Ok(())
     }
 
     /// Completes a secure-aggregation round after the state machine closed
@@ -1547,9 +1304,10 @@ impl Federation {
         round: usize,
         dead: &[usize],
         reporters: &[usize],
-    ) -> Result<BTreeMap<usize, BTreeMap<usize, u64>>> {
+    ) -> Result<MaskShares> {
         const MASK_SHARE_ATTEMPTS: usize = 3;
         let Federation {
+            server,
             slots,
             fabric,
             faults,
@@ -1566,25 +1324,41 @@ impl Federation {
             seats: dead.to_vec(),
             seeds: Vec::new(),
         });
-        let mut shares: BTreeMap<usize, BTreeMap<usize, u64>> = BTreeMap::new();
-        let max_latency = slots.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
-        for _attempt in 0..MASK_SHARE_ATTEMPTS {
-            let pending: Vec<usize> = reporters
+        let mut shares = MaskShares::new();
+        let unanswered = |shares: &MaskShares| -> Vec<usize> {
+            reporters
                 .iter()
                 .copied()
                 .filter(|id| !shares.contains_key(id))
-                .collect();
+                .collect()
+        };
+        let max_latency = slots.iter().map(|s| s.schedule.latency).max().unwrap_or(0);
+        for _attempt in 0..MASK_SHARE_ATTEMPTS {
+            let pending = unanswered(&shares);
             if pending.is_empty() {
                 break;
             }
-            // Deliver the request. It is control traffic: the fault shims
-            // pass it clean apart from crash suppression, and crashed seats
-            // are never reporters.
+            // Deliver the request — control traffic: the fault shims pass
+            // it clean apart from crash suppression, and crashed seats are
+            // never reporters. Agents answer from their mask contexts (no
+            // training happens outside a RoundStart, so sequential stepping
+            // is cheap and trivially deterministic), then the responses
+            // drain with the round's sweep discipline.
+            let mut root = RootSeats {
+                shares: Some((round, &mut shares)),
+                ..RootSeats::new(server)
+            };
             match fabric {
                 Fabric::Star { links } => {
                     for &id in &pending {
                         links[id].send_broadcast(&request)?;
+                        slots[id].agent.step(false)?;
                     }
+                    root.links = links;
+                    root.slots = Some(slots);
+                    sweep::drive(faults.as_ref(), 0, max_latency, |sweep| {
+                        sweep::walk_each(&mut root, pending.iter().copied(), sweep)
+                    })?;
                 }
                 Fabric::Hierarchical { edges, uplinks } => {
                     for (edge, uplink) in edges.iter_mut().zip(uplinks.iter_mut()) {
@@ -1593,116 +1367,20 @@ impl Federation {
                             edge.pump_downstream()?;
                         }
                     }
+                    for &id in &pending {
+                        slots[id].agent.step(false)?;
+                    }
+                    root.links = uplinks;
+                    sweep::drive(faults.as_ref(), 0, max_latency, |sweep| {
+                        let mut pump = pump_edges(edges, faults, round, sweep)?;
+                        pump.absorb(sweep::walk_each(&mut root, 0..uplinks.len(), sweep)?);
+                        Ok(pump)
+                    })?;
                 }
                 Fabric::Gossip { .. } => unreachable!("refused above"),
             }
-            // Agents answer from their mask contexts; no training happens
-            // outside a RoundStart, so sequential stepping is cheap and
-            // trivially deterministic.
-            for &id in &pending {
-                slots[id].agent.step(false)?;
-            }
-            // Drain the responses with the round's sweep discipline.
-            let mut sweep = 0usize;
-            loop {
-                if let Some(plan) = &*faults {
-                    plan.set_sweep(sweep);
-                }
-                let mut delivered = false;
-                let mut pending_future = false;
-                match fabric {
-                    Fabric::Star { links } => {
-                        for &id in &pending {
-                            if slots[id].schedule.latency > sweep {
-                                pending_future |= links[id].has_pending();
-                                continue;
-                            }
-                            match links[id].recv_checked()? {
-                                Delivery::Empty => {}
-                                Delivery::Frame(Message::MaskShare {
-                                    client_id,
-                                    round: share_round,
-                                    seats,
-                                    seeds,
-                                }) if !seeds.is_empty() && share_round == round => {
-                                    delivered = true;
-                                    shares
-                                        .entry(client_id)
-                                        .or_insert_with(|| seats.into_iter().zip(seeds).collect());
-                                }
-                                Delivery::Frame(_) => delivered = true,
-                                Delivery::Faulted {
-                                    sender,
-                                    round: frame_round,
-                                    ..
-                                } => {
-                                    // The refusal triggers the wrapper's
-                                    // bounded retransmission, exactly like a
-                                    // faulted update.
-                                    delivered = true;
-                                    links[id].send(&Message::Nack {
-                                        client_id: sender,
-                                        round: frame_round,
-                                        reason: NackReason::CorruptFrame,
-                                    })?;
-                                }
-                            }
-                            pending_future |= links[id].has_pending();
-                        }
-                    }
-                    Fabric::Hierarchical { edges, uplinks } => {
-                        for edge in edges.iter_mut() {
-                            if edge_dark(faults, edge.edge_id(), round) {
-                                continue;
-                            }
-                            let pump = edge.pump(sweep)?;
-                            delivered |= pump.delivered;
-                            pending_future |= pump.pending_future;
-                        }
-                        for uplink in uplinks.iter_mut() {
-                            match uplink.recv_checked()? {
-                                Delivery::Empty => {}
-                                Delivery::Frame(Message::MaskShare {
-                                    client_id,
-                                    round: share_round,
-                                    seats,
-                                    seeds,
-                                }) if !seeds.is_empty() && share_round == round => {
-                                    delivered = true;
-                                    shares
-                                        .entry(client_id)
-                                        .or_insert_with(|| seats.into_iter().zip(seeds).collect());
-                                }
-                                Delivery::Frame(_) => delivered = true,
-                                Delivery::Faulted {
-                                    sender,
-                                    round: frame_round,
-                                    ..
-                                } => {
-                                    delivered = true;
-                                    uplink.send(&Message::Nack {
-                                        client_id: sender,
-                                        round: frame_round,
-                                        reason: NackReason::CorruptFrame,
-                                    })?;
-                                }
-                            }
-                            pending_future |= uplink.has_pending();
-                        }
-                    }
-                    Fabric::Gossip { .. } => unreachable!("refused above"),
-                }
-                if !delivered && !pending_future && sweep >= max_latency {
-                    break;
-                }
-                sweep += 1;
-            }
         }
-        let missing: Vec<usize> = reporters
-            .iter()
-            .copied()
-            .filter(|id| !shares.contains_key(id))
-            .collect();
+        let missing = unanswered(&shares);
         if !missing.is_empty() {
             return Err(FlError::Wire {
                 reason: format!(
@@ -1718,6 +1396,132 @@ impl Federation {
 /// The sealed blobs a secure-aggregation round stashes per member while the
 /// state machine folds placeholders: `client id → (FedAvg weight, blobs)`.
 type MaskStash = BTreeMap<usize, (usize, Vec<SealedBlob>)>;
+
+/// Mask-reconstruction shares per reporter: `reporter → (dead seat → pair
+/// seed)`.
+type MaskShares = BTreeMap<usize, BTreeMap<usize, u64>>;
+
+/// One lockstep sweep over every live edge's member links.
+fn pump_edges(
+    edges: &mut [EdgeAggregator],
+    faults: &Option<FaultPlan>,
+    round: usize,
+    sweep: usize,
+) -> Result<EdgePump> {
+    live_edges(edges, faults, round).try_fold(EdgePump::default(), |mut pump, edge| {
+        pump.absorb(edge.pump(sweep)?);
+        Ok(pump)
+    })
+}
+
+/// The root's end of the star links or the uplinks as a sweep: its state
+/// machine, its enclave channel, the secure-aggregation stash, and the
+/// sealed bytes delivered so far.
+struct RootSeats<'a> {
+    links: &'a [Box<dyn Transport>],
+    /// The star seats' schedules, for their latency gates (uplinks have
+    /// none).
+    slots: Option<&'a [Slot]>,
+    server: &'a mut FedAvgServer,
+    shield: Option<&'a ShieldedUpdateChannel>,
+    stash: Option<&'a mut MaskStash>,
+    shielded_bytes: usize,
+    /// Uplinks only: the origins whose combined frame already folded — a
+    /// second one (a duplicated uplink frame) is refused wholesale,
+    /// first-wins.
+    folded_origins: Option<BTreeSet<usize>>,
+    /// The [`Message::MaskShare`] reconstruction after the round closed:
+    /// the round and the shares kept so far. Nothing collects then — a
+    /// faulted response always gets the fabricated refusal.
+    shares: Option<(usize, &'a mut MaskShares)>,
+}
+
+impl<'a> RootSeats<'a> {
+    fn new(server: &'a mut FedAvgServer) -> Self {
+        RootSeats {
+            links: &[],
+            slots: None,
+            server,
+            shield: None,
+            stash: None,
+            shielded_bytes: 0,
+            folded_origins: None,
+            shares: None,
+        }
+    }
+}
+
+impl Seats for RootSeats<'_> {
+    fn seat(&self, seat: usize) -> (&dyn Transport, usize) {
+        let latency = self.slots.map_or(0, |slots| slots[seat].schedule.latency);
+        (self.links[seat].as_ref(), latency)
+    }
+
+    fn collector(&mut self) -> Option<&mut FedAvgServer> {
+        self.shares.is_none().then_some(&mut *self.server)
+    }
+
+    fn deliver(&mut self, seat: usize, message: Message) -> Result<()> {
+        if let Some((round, shares)) = &mut self.shares {
+            match message {
+                Message::MaskShare {
+                    client_id,
+                    round: share_round,
+                    seats,
+                    seeds,
+                } if !seeds.is_empty() && share_round == *round => {
+                    shares
+                        .entry(client_id)
+                        .or_insert_with(|| seats.into_iter().zip(seeds).collect());
+                }
+                _ => {}
+            }
+            return Ok(());
+        }
+        let link = self.links[seat].as_ref();
+        // A combined subtree frame unwraps member by member, in ascending
+        // client order.
+        let messages = match (message, &mut self.folded_origins) {
+            (
+                Message::AggregateUpdate {
+                    origin,
+                    round,
+                    members,
+                },
+                Some(folded),
+            ) => {
+                if !folded.insert(origin) {
+                    return link.send(&Message::Nack {
+                        client_id: origin,
+                        round,
+                        reason: NackReason::Duplicate,
+                    });
+                }
+                members
+                    .into_iter()
+                    .map(|member| Message::Update {
+                        update: member.update,
+                        shielded: member.shielded,
+                    })
+                    .collect()
+            }
+            (message, _) => vec![message],
+        };
+        for message in messages {
+            let (message, sealed) = reassemble(
+                self.server.parameters(),
+                self.shield,
+                self.stash.as_deref_mut(),
+                message,
+            )?;
+            self.shielded_bytes += sealed;
+            for response in self.server.deliver(&message) {
+                link.send(&response)?;
+            }
+        }
+        Ok(())
+    }
+}
 
 /// Opens the sealed segments of an update through the server's enclave
 /// channel and splices them back into the canonical parameter order, so the
@@ -1740,13 +1544,7 @@ fn reassemble(
         return Ok((message, 0));
     };
     if shielded.is_empty() {
-        return Ok((
-            Message::Update {
-                update,
-                shielded: Vec::new(),
-            },
-            0,
-        ));
+        return Ok((Message::Update { update, shielded }, 0));
     }
     let Some(server_shield) = server_shield else {
         return Err(FlError::InvalidConfig {
@@ -1756,44 +1554,36 @@ fn reassemble(
             ),
         });
     };
-    if let Some(stash) = stash {
-        let sealed_bytes: usize = shielded.iter().map(SealedBlob::len).sum();
-        let mut parameters = Vec::with_capacity(current.len());
-        for (name, reference) in current {
-            if let Some((n, t)) = update.parameters.iter().find(|(n, _)| n == name) {
-                parameters.push((n.clone(), t.clone()));
-            } else {
-                parameters.push((name.clone(), Tensor::zeros(reference.dims())));
-            }
+    let (opened, sealed_bytes) = match stash {
+        Some(stash) => {
+            let sealed_bytes = shielded.iter().map(SealedBlob::len).sum();
+            stash
+                .entry(update.client_id)
+                .or_insert((update.num_samples, shielded));
+            (None, sealed_bytes)
         }
-        stash
-            .entry(update.client_id)
-            .or_insert((update.num_samples, shielded));
-        return Ok((
-            Message::Update {
-                update: ModelUpdate {
-                    parameters,
-                    ..update
-                },
-                shielded: Vec::new(),
-            },
-            sealed_bytes,
-        ));
-    }
-    let (opened, report) = server_shield.open_segments(&shielded)?;
+        None => {
+            let (opened, report) = server_shield.open_segments(&shielded)?;
+            (Some(opened), report.sealed_bytes)
+        }
+    };
     let mut parameters = Vec::with_capacity(current.len());
-    for (name, _) in current {
-        if let Some((n, t)) = update.parameters.iter().find(|(n, _)| n == name) {
-            parameters.push((n.clone(), t.clone()));
-        } else if let Some((n, t)) = opened.iter().find(|(n, _)| n == name) {
-            parameters.push((n.clone(), t.clone()));
-        } else {
-            return Err(FlError::SchemaMismatch {
-                reason: format!(
-                    "client {} update is missing parameter '{name}' in both segments",
-                    update.client_id
-                ),
-            });
+    for (name, reference) in current {
+        let clear = update.parameters.iter().find(|(n, _)| n == name);
+        match (clear, &opened) {
+            (Some((n, t)), _) => parameters.push((n.clone(), t.clone())),
+            (None, None) => parameters.push((name.clone(), Tensor::zeros(reference.dims()))),
+            (None, Some(opened)) => {
+                let Some((n, t)) = opened.iter().find(|(n, _)| n == name) else {
+                    return Err(FlError::SchemaMismatch {
+                        reason: format!(
+                            "client {} update is missing parameter '{name}' in both segments",
+                            update.client_id
+                        ),
+                    });
+                };
+                parameters.push((n.clone(), t.clone()));
+            }
         }
     }
     Ok((
@@ -1804,7 +1594,7 @@ fn reassemble(
             },
             shielded: Vec::new(),
         },
-        report.sealed_bytes,
+        sealed_bytes,
     ))
 }
 
@@ -1812,6 +1602,39 @@ fn reassemble(
 mod tests {
     use super::*;
     use pelta_data::{DatasetSpec, GeneratorConfig};
+
+    /// The reconstruction sweep keeps the first share per reporter for its
+    /// own round only; a stale-round share or a request echo is consumed
+    /// without effect.
+    #[test]
+    fn mask_share_sweep_keeps_first_share_of_its_round() {
+        let mut server = FedAvgServer::with_policy(Vec::new(), ParticipationPolicy::default())
+            .expect("default policy is valid");
+        let (agent_end, root_end) = TransportKind::InMemory.duplex();
+        let share = |round: usize, seeds: Vec<u64>| Message::MaskShare {
+            client_id: 4,
+            round,
+            seats: vec![1],
+            seeds,
+        };
+        for message in [
+            share(2, vec![7]),
+            share(3, Vec::new()),
+            share(3, vec![11]),
+            share(3, vec![13]),
+        ] {
+            agent_end.send(&message).unwrap();
+        }
+        let mut shares = MaskShares::new();
+        let links = [root_end];
+        let mut root = RootSeats {
+            links: &links,
+            shares: Some((3, &mut shares)),
+            ..RootSeats::new(&mut server)
+        };
+        sweep::drive(None, 0, 0, |sweep| sweep::walk_each(&mut root, [0], sweep)).unwrap();
+        assert_eq!(shares, BTreeMap::from([(4, BTreeMap::from([(1, 11)]))]));
+    }
 
     fn small_dataset(seed: u64) -> Dataset {
         Dataset::generate(

@@ -145,6 +145,7 @@ mod scenario;
 pub mod secure_agg;
 mod server;
 mod shielded;
+mod sweep;
 pub mod topology;
 mod transport;
 

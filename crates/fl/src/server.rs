@@ -126,6 +126,24 @@ pub struct RoundSummary {
     pub update_bytes: usize,
 }
 
+impl RoundSummary {
+    /// The record of a subtree that contributed nothing to `round`: a
+    /// crashed edge (no participants) or a subtree withheld on its own
+    /// quorum — zero reporters, weight, deliveries and bytes.
+    pub(crate) fn withheld(round: usize, participants: Vec<usize>) -> Self {
+        RoundSummary {
+            round,
+            participants,
+            reporters: Vec::new(),
+            stragglers: Vec::new(),
+            dropouts: Vec::new(),
+            total_weight: 0,
+            delivered_messages: 0,
+            update_bytes: 0,
+        }
+    }
+}
+
 /// The durable state a recovering aggregator re-syncs from: the round it
 /// must rejoin at and the global parameters to re-anchor to. Produced by
 /// [`FedAvgServer::checkpoint`] at the consensus point; consumed by

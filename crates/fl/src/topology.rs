@@ -48,12 +48,17 @@ use std::collections::{BTreeMap, BTreeSet};
 use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
+use crate::fault::FaultPlan;
 use crate::robust::{aggregate_with_rule, validate_update_schema};
 use crate::server::{RoundCheckpoint, RoundSummary};
+use crate::sweep::{self, Seats};
+use crate::transport::traffic;
 use crate::{
-    AggregationRule, BroadcastFrame, Delivery, FedAvgServer, FlError, MemberUpdate, Message,
-    ModelUpdate, NackReason, ParticipationPolicy, Result, Transport, TransportKind, UpdateCodec,
+    AggregationRule, BroadcastFrame, FedAvgServer, FlError, MemberUpdate, Message, ModelUpdate,
+    NackReason, ParticipationPolicy, Result, Transport, TransportKind, UpdateCodec,
 };
+
+pub use crate::sweep::EdgePump;
 
 /// How a federation routes updates to the consensus point.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -231,15 +236,6 @@ struct EdgeMember {
     latency: usize,
 }
 
-/// What one latency-gated delivery sweep over an edge's member links did.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct EdgePump {
-    /// Whether any message was delivered this sweep.
-    pub delivered: bool,
-    /// Whether a latency-gated link still holds traffic for a later sweep.
-    pub pending_future: bool,
-}
-
 /// An edge aggregator of a two-level hierarchical federation.
 ///
 /// It holds the edge-side ends of its members' links and the edge-side end
@@ -264,9 +260,6 @@ pub struct EdgeAggregator {
     stash: BTreeMap<usize, MemberUpdate>,
     round: Option<usize>,
     open: bool,
-    /// Member indices with queued uplink traffic during a sweep phase
-    /// (rebuilt at sweep 0; only ever shrinks within a phase).
-    active: Option<BTreeSet<usize>>,
 }
 
 impl EdgeAggregator {
@@ -294,7 +287,6 @@ impl EdgeAggregator {
             stash: BTreeMap::new(),
             round: None,
             open: false,
-            active: None,
         })
     }
 
@@ -384,7 +376,6 @@ impl EdgeAggregator {
         self.stash.clear();
         self.round = Some(round);
         self.open = true;
-        self.active = None;
         for member in &self.members {
             if self.sampled.contains(&member.client_id) {
                 member.link.send_broadcast(frame)?;
@@ -393,81 +384,16 @@ impl EdgeAggregator {
         Ok(())
     }
 
-    /// One latency-gated delivery sweep over the member links, ascending
-    /// client id, one message per link — the per-subtree replica of the
-    /// star runtime's sweep discipline.
-    ///
-    /// Only *active* members (queued traffic) are visited: all member
-    /// traffic of a sweep phase is queued before sweep 0, so the active set
-    /// is rebuilt there and only shrinks afterwards — drained and
-    /// never-pending seats are skipped without changing delivery order.
+    /// One delivery sweep over the member links under the runtime's sweep
+    /// discipline (ascending client id, one message per link, latency
+    /// gates; only members holding traffic are read — all of a phase's
+    /// member traffic is queued before sweep 0). A damaged frame burns the
+    /// *edge's* straggler budget.
     ///
     /// # Errors
     /// Returns an error if a transport fails.
     pub fn pump(&mut self, sweep: usize) -> Result<EdgePump> {
-        let mut outcome = EdgePump::default();
-        let mut active = match self.active.take() {
-            Some(set) if sweep != 0 => set,
-            _ => (0..self.members.len())
-                .filter(|&index| self.members[index].link.has_pending())
-                .collect(),
-        };
-        let mut drained = Vec::new();
-        for &index in &active {
-            if self.members[index].latency > sweep {
-                // Active ⇒ the link still holds traffic for a later sweep.
-                outcome.pending_future = true;
-                continue;
-            }
-            match self.members[index].link.recv_checked()? {
-                Delivery::Empty => {
-                    if self.members[index].link.has_pending() {
-                        // A fault wrapper is holding traffic (reorder,
-                        // partition, scheduled retransmission) for a later
-                        // sweep — the seat stays active.
-                        outcome.pending_future = true;
-                    } else {
-                        drained.push(index);
-                    }
-                    continue;
-                }
-                Delivery::Frame(message) => {
-                    outcome.delivered = true;
-                    self.route_upward(index, message)?;
-                }
-                Delivery::Faulted {
-                    sender,
-                    round,
-                    lost,
-                } => {
-                    outcome.delivered = true;
-                    // A damaged delivery burns the edge's straggler budget
-                    // like any delivered frame; a frame lost outright does
-                    // not — nothing arrived. Either way the sender gets the
-                    // CorruptFrame refusal that triggers retransmission.
-                    let responses = if lost {
-                        vec![Message::Nack {
-                            client_id: sender,
-                            round,
-                            reason: NackReason::CorruptFrame,
-                        }]
-                    } else {
-                        self.server.deliver_corrupt(sender, round)
-                    };
-                    for response in responses {
-                        self.members[index].link.send(&response)?;
-                    }
-                }
-            }
-            if !self.members[index].link.has_pending() {
-                drained.push(index);
-            }
-        }
-        for index in drained {
-            active.remove(&index);
-        }
-        self.active = Some(active);
-        Ok(outcome)
+        sweep::walk_pending(self, self.members.len(), sweep)
     }
 
     /// Drains the member links completely (between rounds — Join
@@ -477,14 +403,7 @@ impl EdgeAggregator {
     /// # Errors
     /// Returns an error if a transport fails.
     pub fn pump_idle(&mut self) -> Result<bool> {
-        let mut delivered = false;
-        for index in 0..self.members.len() {
-            while let Some(message) = self.members[index].link.recv()? {
-                delivered = true;
-                self.route_upward(index, message)?;
-            }
-        }
-        Ok(delivered)
+        sweep::drain_idle(self, self.members.len())
     }
 
     /// Routes one member message: Join/Leave are mirrored into the subtree
@@ -577,16 +496,7 @@ impl EdgeAggregator {
                     round,
                     members: Vec::new(),
                 })?;
-                Ok(RoundSummary {
-                    round,
-                    participants: self.participants.clone(),
-                    reporters: Vec::new(),
-                    stragglers: Vec::new(),
-                    dropouts: Vec::new(),
-                    total_weight: 0,
-                    delivered_messages: 0,
-                    update_bytes: 0,
-                })
+                Ok(RoundSummary::withheld(round, self.participants.clone()))
             }
             Err(e) => Err(e),
         }
@@ -609,13 +519,7 @@ impl EdgeAggregator {
         // The crashed edge never served the round in flight: no RoundEnd
         // relay may reach its members for it.
         self.round = None;
-        self.stash.clear();
-        self.active = None;
-        for member in &self.members {
-            while member.link.recv()?.is_some() {}
-        }
-        while self.uplink.recv()?.is_some() {}
-        Ok(())
+        self.discard_queued()
     }
 
     /// Re-handshakes a crashed edge back into the federation from the
@@ -635,13 +539,19 @@ impl EdgeAggregator {
                 reason: format!("edge {} cannot resync with an open round", self.edge_id),
             });
         }
+        self.discard_queued()?;
+        self.server.restore(checkpoint)
+    }
+
+    /// Drops the stash and every queued member and uplink frame — what dies
+    /// with the edge process.
+    fn discard_queued(&mut self) -> Result<()> {
+        self.stash.clear();
         for member in &self.members {
             while member.link.recv()?.is_some() {}
         }
         while self.uplink.recv()?.is_some() {}
-        self.stash.clear();
-        self.active = None;
-        self.server.restore(checkpoint)
+        Ok(())
     }
 
     /// Relays downstream traffic from the root: a [`Message::Nack`] goes to
@@ -655,36 +565,22 @@ impl EdgeAggregator {
     pub fn pump_downstream(&mut self) -> Result<usize> {
         let mut relayed = 0;
         while let Some(message) = self.uplink.recv()? {
-            match &message {
-                Message::MaskShare { seeds, .. } if seeds.is_empty() => {
-                    for member in &self.members {
-                        if self.sampled.contains(&member.client_id)
-                            && !self.left.contains(&member.client_id)
-                        {
-                            member.link.send(&message)?;
-                            relayed += 1;
-                        }
-                    }
+            // A Nack addressed to the edge itself (a refused combined frame)
+            // matches no member and is consumed here.
+            let (to_round, nacked) = match &message {
+                Message::MaskShare { seeds, .. } => (seeds.is_empty(), None),
+                Message::RoundEnd { .. } => (true, None),
+                Message::Nack { client_id, .. } => (false, Some(*client_id)),
+                _ => (false, None),
+            };
+            for member in &self.members {
+                let id = member.client_id;
+                if nacked == Some(id)
+                    || (to_round && self.sampled.contains(&id) && !self.left.contains(&id))
+                {
+                    member.link.send(&message)?;
+                    relayed += 1;
                 }
-                Message::Nack { client_id, .. } => {
-                    if let Some(member) = self.members.iter().find(|m| m.client_id == *client_id) {
-                        member.link.send(&message)?;
-                        relayed += 1;
-                    }
-                    // A Nack addressed to the edge itself (a refused
-                    // combined frame) is consumed here.
-                }
-                Message::RoundEnd { .. } => {
-                    for member in &self.members {
-                        if self.sampled.contains(&member.client_id)
-                            && !self.left.contains(&member.client_id)
-                        {
-                            member.link.send(&message)?;
-                            relayed += 1;
-                        }
-                    }
-                }
-                _ => {}
             }
         }
         Ok(relayed)
@@ -693,13 +589,25 @@ impl EdgeAggregator {
     /// Messages and logical bytes sent by this edge's runtime-side link
     /// ends (member downlinks + uplink).
     pub fn traffic(&self) -> (usize, usize) {
-        let mut messages = self.uplink.messages_sent();
-        let mut bytes = self.uplink.bytes_sent();
-        for member in &self.members {
-            messages += member.link.messages_sent();
-            bytes += member.link.bytes_sent();
-        }
-        (messages, bytes)
+        let members = self.members.iter().map(|member| member.link.as_ref());
+        traffic(std::iter::once(self.uplink.as_ref()).chain(members))
+    }
+}
+
+/// The edge's member links as a sweep: frames route upward, damaged frames
+/// are charged to the subtree state machine.
+impl Seats for EdgeAggregator {
+    fn seat(&self, seat: usize) -> (&dyn Transport, usize) {
+        let member = &self.members[seat];
+        (member.link.as_ref(), member.latency)
+    }
+
+    fn collector(&mut self) -> Option<&mut FedAvgServer> {
+        Some(&mut self.server)
+    }
+
+    fn deliver(&mut self, seat: usize, message: Message) -> Result<()> {
+        self.route_upward(seat, message)
     }
 }
 
@@ -743,16 +651,6 @@ struct GossipPeer {
     known: BTreeMap<usize, MemberUpdate>,
 }
 
-/// What one latency-gated collect sweep over the coordinator links did.
-#[derive(Default)]
-pub(crate) struct GossipPump {
-    pub(crate) delivered: bool,
-    pub(crate) pending_future: bool,
-    /// Non-update traffic (Join/Leave/junk) for the coordinator's state
-    /// machine, in deterministic (ascending peer) order.
-    pub(crate) control: Vec<(usize, Message)>,
-}
-
 /// The runtime fabric of a gossip federation: a directed ring mesh that
 /// floods member updates in deterministic sweeps and exposes every peer's
 /// converged update set for the consensus fold.
@@ -760,9 +658,72 @@ pub(crate) struct GossipMesh {
     peers: Vec<GossipPeer>,
     round: Option<usize>,
     participants: BTreeSet<usize>,
-    /// Peer indices with queued coordinator traffic during a collect phase
-    /// (rebuilt at sweep 0; only ever shrinks within a phase).
-    active: Option<BTreeSet<usize>>,
+}
+
+/// The coordinator links as a sweep: a collect phase, or the idle drain.
+struct Collect<'a, F> {
+    mesh: &'a mut GossipMesh,
+    /// Between rounds every frame is control traffic: no round is open for
+    /// updates to enter.
+    idle: bool,
+    control: F,
+}
+
+impl<F: FnMut(&Message) -> Vec<Message>> Seats for Collect<'_, F> {
+    fn seat(&self, seat: usize) -> (&dyn Transport, usize) {
+        let peer = &self.mesh.peers[seat];
+        (peer.coordinator.as_ref(), peer.latency)
+    }
+
+    fn refusal_addressee(&self, seat: usize, _sender: usize) -> usize {
+        self.mesh.peers[seat].id
+    }
+
+    fn deliver(&mut self, seat: usize, message: Message) -> Result<()> {
+        let peer = &mut self.mesh.peers[seat];
+        let (update, shielded) = match message {
+            Message::Update { update, shielded } if !self.idle => (update, shielded),
+            control => {
+                for response in (self.control)(&control) {
+                    peer.coordinator.send(&response)?;
+                }
+                return Ok(());
+            }
+        };
+        if !shielded.is_empty() {
+            return Err(FlError::InvalidConfig {
+                reason: format!(
+                    "gossip peer {} sent sealed segments, which no peer can open",
+                    update.client_id
+                ),
+            });
+        }
+        let round = self.mesh.round;
+        if update.client_id == peer.id
+            && Some(update.round) == round
+            && self.mesh.participants.contains(&peer.id)
+        {
+            peer.known
+                .entry(update.client_id)
+                .or_insert(MemberUpdate::clear(update));
+            return Ok(());
+        }
+        let reason = if update.client_id != peer.id {
+            NackReason::Rejected(format!(
+                "update claims client {} on client {}'s link",
+                update.client_id, peer.id
+            ))
+        } else if Some(update.round) != round {
+            NackReason::StaleRound
+        } else {
+            NackReason::NotParticipating
+        };
+        peer.coordinator.send(&Message::Nack {
+            client_id: peer.id,
+            round: update.round,
+            reason,
+        })
+    }
 }
 
 impl GossipMesh {
@@ -815,7 +776,6 @@ impl GossipMesh {
             peers,
             round: None,
             participants: BTreeSet::new(),
-            active: None,
         }
     }
 
@@ -839,7 +799,6 @@ impl GossipMesh {
         };
         self.round = Some(*round);
         self.participants = participants.iter().copied().collect();
-        self.active = None;
         for peer in &mut self.peers {
             peer.known.clear();
             for link in &mut peer.out_links {
@@ -852,10 +811,11 @@ impl GossipMesh {
         Ok(())
     }
 
-    /// One latency-gated collect sweep over the coordinator links: a peer's
-    /// own round-`r` [`Message::Update`] enters its knowledge; everything
-    /// else is surfaced as control traffic for the coordinator's state
-    /// machine.
+    /// Collects the round over the coordinator links in delivery sweeps
+    /// (see [`crate::sweep`]): a peer's own round-`r` [`Message::Update`]
+    /// enters its knowledge; everything else is control traffic, handed to
+    /// `control` (the coordinator's state machine) in delivery order, whose
+    /// responses go back over the peer's link.
     ///
     /// Adversarial frames never abort the run here: the daemon knows whose
     /// link it is, so an update under a spoofed client id, for a stale
@@ -863,131 +823,51 @@ impl GossipMesh {
     /// [`Message::Nack`] on the receiving peer's own link (forwarding it
     /// would let a spoofed frame impersonate a genuine participant at the
     /// coordinator, and the spoofed id inside the frame is never trusted
-    /// for routing), and a duplicate is dropped first-wins, matching both
-    /// the flood's `or_insert` semantics and the coordinator's reporter
-    /// dedup. This keeps every daemon's knowledge exactly the set the
-    /// coordinator will accept, which the consensus-fold assertion relies
-    /// on.
+    /// for routing — the refusal of a faulted frame goes to the link owner
+    /// too), and a duplicate is dropped first-wins, matching both the
+    /// flood's `or_insert` semantics and the coordinator's reporter dedup.
+    /// This keeps every daemon's knowledge exactly the set the coordinator
+    /// will accept, which the consensus-fold assertion relies on.
     ///
     /// # Errors
     /// Returns an error if a transport fails or an update carries sealed
     /// segments (gossip has no attested central enclave to open them).
-    pub(crate) fn pump_collect(&mut self, sweep: usize) -> Result<GossipPump> {
-        let round = self.round;
-        let mut outcome = GossipPump::default();
-        // Only *active* peers (queued coordinator traffic) are visited: all
-        // of a collect phase's traffic is queued before sweep 0, so the
-        // active set is rebuilt there and only shrinks afterwards.
-        let mut active = match self.active.take() {
-            Some(set) if sweep != 0 => set,
-            _ => (0..self.peers.len())
-                .filter(|&index| self.peers[index].coordinator.has_pending())
-                .collect(),
+    pub(crate) fn collect(
+        &mut self,
+        faults: Option<&FaultPlan>,
+        max_latency: usize,
+        control: impl FnMut(&Message) -> Vec<Message>,
+    ) -> Result<()> {
+        let peers = self.peers.len();
+        let mut seats = Collect {
+            mesh: self,
+            idle: false,
+            control,
         };
-        let mut drained = Vec::new();
-        for &index in &active {
-            let peer = &mut self.peers[index];
-            if peer.latency > sweep {
-                // Active ⇒ the link still holds traffic for a later sweep.
-                outcome.pending_future = true;
-                continue;
-            }
-            let message = match peer.coordinator.recv_checked()? {
-                Delivery::Empty => {
-                    if peer.coordinator.has_pending() {
-                        // A fault wrapper is holding traffic for a later
-                        // sweep — the peer stays active.
-                        outcome.pending_future = true;
-                    } else {
-                        drained.push(index);
-                    }
-                    continue;
-                }
-                Delivery::Faulted {
-                    round: faulted_round,
-                    ..
-                } => {
-                    outcome.delivered = true;
-                    // The daemon knows whose link it is: the refusal is
-                    // addressed to the peer itself (never the id inside a
-                    // damaged frame) and doubles as the retransmission
-                    // trigger at the fault wrapper.
-                    peer.coordinator.send(&Message::Nack {
-                        client_id: peer.id,
-                        round: faulted_round,
-                        reason: NackReason::CorruptFrame,
-                    })?;
-                    if !peer.coordinator.has_pending() {
-                        drained.push(index);
-                    }
-                    continue;
-                }
-                Delivery::Frame(message) => message,
-            };
-            outcome.delivered = true;
-            if !peer.coordinator.has_pending() {
-                drained.push(index);
-            }
-            match message {
-                Message::Update { update, shielded } => {
-                    if !shielded.is_empty() {
-                        return Err(FlError::InvalidConfig {
-                            reason: format!(
-                                "gossip peer {} sent sealed segments, which no peer can open",
-                                update.client_id
-                            ),
-                        });
-                    }
-                    let legitimate = update.client_id == peer.id
-                        && Some(update.round) == round
-                        && self.participants.contains(&peer.id);
-                    if legitimate {
-                        peer.known
-                            .entry(update.client_id)
-                            .or_insert(MemberUpdate::clear(update));
-                    } else {
-                        let reason = if update.client_id != peer.id {
-                            NackReason::Rejected(format!(
-                                "update claims client {} on client {}'s link",
-                                update.client_id, peer.id
-                            ))
-                        } else if Some(update.round) != round {
-                            NackReason::StaleRound
-                        } else {
-                            NackReason::NotParticipating
-                        };
-                        peer.coordinator.send(&Message::Nack {
-                            client_id: peer.id,
-                            round: update.round,
-                            reason,
-                        })?;
-                    }
-                }
-                other => outcome.control.push((peer.id, other)),
-            }
-        }
-        for index in drained {
-            active.remove(&index);
-        }
-        self.active = Some(active);
-        Ok(outcome)
+        sweep::drive(faults, 0, max_latency, |sweep| {
+            sweep::walk_pending(&mut seats, peers, sweep)
+        })?;
+        Ok(())
     }
 
     /// Drains the coordinator links completely between rounds; everything
-    /// is control traffic (there is no open round for updates to enter).
+    /// is control traffic for `control` (there is no open round for updates
+    /// to enter), whose responses go back over the peer's link. Returns
+    /// whether anything was delivered.
     ///
     /// # Errors
     /// Returns an error if a transport fails.
-    pub(crate) fn pump_idle(&mut self) -> Result<(bool, Vec<(usize, Message)>)> {
-        let mut delivered = false;
-        let mut control = Vec::new();
-        for peer in &mut self.peers {
-            while let Some(message) = peer.coordinator.recv()? {
-                delivered = true;
-                control.push((peer.id, message));
-            }
-        }
-        Ok((delivered, control))
+    pub(crate) fn pump_idle(
+        &mut self,
+        control: impl FnMut(&Message) -> Vec<Message>,
+    ) -> Result<bool> {
+        let peers = self.peers.len();
+        let mut seats = Collect {
+            mesh: self,
+            idle: true,
+            control,
+        };
+        sweep::drain_idle(&mut seats, peers)
     }
 
     /// Floods the collected updates across the mesh until quiescent:
@@ -1105,27 +985,18 @@ impl GossipMesh {
     /// Messages and logical bytes sent by the mesh's runtime-side link ends
     /// (coordinator ends + every peer-to-peer end).
     pub(crate) fn traffic(&self) -> (usize, usize) {
-        let mut messages = 0;
-        let mut bytes = 0;
-        for peer in &self.peers {
-            messages += peer.coordinator.messages_sent();
-            bytes += peer.coordinator.bytes_sent();
-            for link in &peer.out_links {
-                messages += link.link.messages_sent();
-                bytes += link.link.bytes_sent();
-            }
-            for (_, link) in &peer.in_links {
-                messages += link.messages_sent();
-                bytes += link.bytes_sent();
-            }
-        }
-        (messages, bytes)
+        traffic(self.peers.iter().flat_map(|peer| {
+            std::iter::once(peer.coordinator.as_ref())
+                .chain(peer.out_links.iter().map(|out| out.link.as_ref()))
+                .chain(peer.in_links.iter().map(|(_, link)| link.as_ref()))
+        }))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultConfig;
     use crate::{GlobalModel, InMemoryTransport, NackReason};
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -1570,15 +1441,11 @@ mod tests {
             })
             .unwrap();
         let mut control = Vec::new();
-        let mut sweep = 0;
-        loop {
-            let pump = mesh.pump_collect(sweep).unwrap();
-            control.extend(pump.control);
-            if !pump.delivered && !pump.pending_future {
-                break;
-            }
-            sweep += 1;
-        }
+        mesh.collect(None, 0, |message| {
+            control.push(message.clone());
+            Vec::new()
+        })
+        .unwrap();
         // Nothing leaked to the coordinator's control path; the refusals
         // rode peer 0's own link.
         assert!(control.is_empty(), "refused updates must not reach control");
@@ -1613,6 +1480,91 @@ mod tests {
             .unwrap();
         assert_eq!(folds.len(), 2);
         assert_eq!(bits(&folds[0].1), bits(&folds[1].1));
+    }
+
+    /// A two-peer mesh opened at round 0, with peer 0's coordinator link
+    /// optionally behind a fault plan.
+    fn two_peer_mesh(plan: Option<&FaultPlan>) -> (GossipMesh, Vec<InMemoryTransport>) {
+        let mut coordinators = Vec::new();
+        let mut agent_ends = Vec::new();
+        for peer in 0..2usize {
+            let (agent_end, runtime_end) = InMemoryTransport::pair();
+            let runtime_end = Box::new(runtime_end) as Box<dyn Transport>;
+            coordinators.push(match plan {
+                Some(plan) if peer == 0 => plan.wrap_seat(0, runtime_end),
+                _ => runtime_end,
+            });
+            agent_ends.push(agent_end);
+        }
+        let mut mesh = GossipMesh::new(
+            TransportKind::InMemory,
+            UpdateCodec::Raw,
+            coordinators,
+            vec![0; 2],
+            1,
+        );
+        let broadcast = GlobalModel {
+            round: 0,
+            parameters: named(&[0.0, 0.0]),
+        };
+        mesh.open_round(&round_start(broadcast), &[0, 1]).unwrap();
+        for agent_end in &agent_ends {
+            agent_end.recv().unwrap(); // consume the broadcast
+        }
+        (mesh, agent_ends)
+    }
+
+    /// The refusal of a damaged frame goes to the owner of the link it
+    /// arrived on, never to the id the frame claims.
+    #[test]
+    fn gossip_faulted_frame_refusal_goes_to_the_link_owner() {
+        let plan = FaultPlan::new(FaultConfig {
+            corrupt: 1.0,
+            ..FaultConfig::default()
+        })
+        .unwrap();
+        plan.begin_round(0);
+        let (mut mesh, agent_ends) = two_peer_mesh(Some(&plan));
+        agent_ends[0]
+            .send(&Message::Update {
+                update: update(1, 0, 10, 1.0),
+                shielded: Vec::new(),
+            })
+            .unwrap();
+        mesh.collect(Some(&plan), 0, |_| Vec::new()).unwrap();
+        assert_eq!(plan.stats().corrupted, 1);
+        let Some(Message::Nack {
+            client_id: 0,
+            reason: NackReason::CorruptFrame,
+            ..
+        }) = agent_ends[0].recv().unwrap()
+        else {
+            panic!("the damaged frame must be refused to the link owner");
+        };
+        assert!(mesh.union().is_empty());
+    }
+
+    /// Between rounds every frame is control traffic, an update included:
+    /// no round is open for it to enter a peer's knowledge.
+    #[test]
+    fn gossip_idle_pump_hands_updates_to_control() {
+        let (mut mesh, agent_ends) = two_peer_mesh(None);
+        agent_ends[0]
+            .send(&Message::Update {
+                update: update(0, 0, 10, 1.0),
+                shielded: Vec::new(),
+            })
+            .unwrap();
+        let mut control = Vec::new();
+        let delivered = mesh
+            .pump_idle(|message| {
+                control.push(message.clone());
+                Vec::new()
+            })
+            .unwrap();
+        assert!(delivered);
+        assert!(matches!(control.as_slice(), [Message::Update { .. }]));
+        assert!(mesh.union().is_empty());
     }
 
     /// Gossip flooding converges on a directed ring and every participant's
@@ -1662,15 +1614,11 @@ mod tests {
                 .unwrap();
         }
         let mut control = Vec::new();
-        let mut sweep = 0;
-        loop {
-            let pump = mesh.pump_collect(sweep).unwrap();
-            control.extend(pump.control);
-            if !pump.delivered && !pump.pending_future {
-                break;
-            }
-            sweep += 1;
-        }
+        mesh.collect(None, 0, |message| {
+            control.push(message.clone());
+            Vec::new()
+        })
+        .unwrap();
         assert_eq!(control.len(), clients, "one control frame per peer");
 
         let exchanged = mesh.exchange().unwrap();

@@ -215,13 +215,6 @@ pub trait Transport: Send {
         })
     }
 
-    /// Whether the link is holding traffic it will only release in a later
-    /// sweep (reorder holds, partition windows, scheduled retransmissions).
-    /// Healthy transports deliver eagerly and are never stalled.
-    fn stalled(&self) -> bool {
-        false
-    }
-
     /// Whether a message from the peer is waiting.
     fn has_pending(&self) -> bool;
 
@@ -245,6 +238,13 @@ pub trait Transport: Send {
     fn codec(&self) -> UpdateCodec {
         UpdateCodec::Raw
     }
+}
+
+/// Messages and logical bytes sent by a set of link ends.
+pub(crate) fn traffic<'a>(links: impl IntoIterator<Item = &'a dyn Transport>) -> (usize, usize) {
+    links.into_iter().fold((0, 0), |(messages, bytes), link| {
+        (messages + link.messages_sent(), bytes + link.bytes_sent())
+    })
 }
 
 /// Per-endpoint traffic counters.
