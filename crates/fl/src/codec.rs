@@ -7,7 +7,7 @@
 //! control traffic (Join/RoundStart/RoundEnd/Leave/Nack, and the v4
 //! MaskShare exchange) and sealed shielded segments are never
 //! codec-compressed. Compression is *lossy but
-//! bit-reproducible*: every rounding decision below is a fixed, scalar,
+//! bit-reproducible*: every rounding decision below is a fixed, element-wise,
 //! thread-free computation, so a given codec produces the same bytes and the
 //! same dequantized values on every run, every transport, every topology and
 //! every `PELTA_THREADS` setting.
@@ -127,36 +127,33 @@ impl UpdateCodec {
     }
 
     /// What the receiver sees after decode: the dequantized tensor the wire
-    /// encoding reconstructs. `Raw` is the identity (exact clone).
+    /// encoding reconstructs. `Raw` is the identity (exact clone). The dense
+    /// codecs run the very element kernels the wire runs — encode into a
+    /// scratch section, then decode it — so the two agree by construction.
     pub fn round_trip(&self, tensor: &Tensor) -> Tensor {
-        match self {
-            UpdateCodec::Raw => tensor.clone(),
+        let data = tensor.data();
+        let data = match self {
+            UpdateCodec::Raw => return tensor.clone(),
             UpdateCodec::Bf16 => {
-                let data: Vec<f32> = tensor
-                    .data()
-                    .iter()
-                    .map(|&v| bf16_from_hi(bf16_hi_bits(v)))
-                    .collect();
-                Tensor::from_vec(data, tensor.dims()).expect("shape preserved")
+                let mut section = vec![0u8; 2 * data.len()];
+                bf16_encode(data, &mut section);
+                bf16_decode(&section)
             }
             UpdateCodec::Int8 => {
-                let scale = int8_scale(tensor.data());
-                let inv = scale.recip();
-                let data: Vec<f32> = tensor
-                    .data()
-                    .iter()
-                    .map(|&v| f32::from(int8_quantize(v, inv)) * scale)
-                    .collect();
-                Tensor::from_vec(data, tensor.dims()).expect("shape preserved")
+                let scale = int8_scale(data);
+                let mut codes = vec![0u8; data.len()];
+                int8_encode(data, scale, &mut codes);
+                int8_decode(&codes, scale)
             }
             UpdateCodec::TopK { k } => {
-                let mut data = vec![0.0f32; tensor.numel()];
-                for index in topk_indices(tensor.data(), *k) {
-                    data[index] = tensor.data()[index];
+                let mut kept = vec![0.0f32; data.len()];
+                for index in topk_indices(data, *k) {
+                    kept[index] = data[index];
                 }
-                Tensor::from_vec(data, tensor.dims()).expect("shape preserved")
+                kept
             }
-        }
+        };
+        Tensor::from_vec(data, tensor.dims()).expect("shape preserved")
     }
 
     /// [`UpdateCodec::round_trip`] over every parameter of an update.
@@ -234,16 +231,15 @@ impl std::fmt::Display for UpdateCodec {
 /// the kept half, re-rounding a rounded value is the identity.
 pub(crate) fn bf16_hi_bits(v: f32) -> u16 {
     let bits = v.to_bits();
-    if v.is_nan() {
-        return (((bits & 0xFFFF_0000) | 0x0040_0000) >> 16) as u16;
-    }
+    let quieted = (bits & 0xFFFF_0000) | 0x0040_0000;
     // Round-to-nearest-even on the dropped 16 bits: adding 0x7FFF plus the
     // LSB of the kept half carries exactly when the tail is > half, or ==
     // half with an odd kept half. A zero tail never carries, which is what
     // makes the rounding idempotent. Finite values whose exponent carries
-    // over saturate to ±infinity, the standard bf16 behaviour.
+    // over saturate to ±infinity, the standard bf16 behaviour. Both
+    // candidates are computed and selected, so the loop stays branch-free.
     let rounded = bits.wrapping_add(0x7FFF + ((bits >> 16) & 1));
-    (rounded >> 16) as u16
+    ((if v.is_nan() { quieted } else { rounded }) >> 16) as u16
 }
 
 /// Inverse of [`bf16_hi_bits`]: the 16-bit pattern widened back to `f32`.
@@ -271,21 +267,42 @@ pub(crate) fn exp2i(e: i32) -> f32 {
 /// magnitude) finite — `127 * 2^122` would already overflow `f32` — so a
 /// dequantized code can never round-trip through infinity; magnitudes in
 /// the tiny window above `127 * 2^121` saturate to the top code instead.
+///
+/// Non-negative floats order exactly like their bit patterns, so `amax` is
+/// an integer max over the sign-cleared patterns, with the non-finite ones
+/// (`>= 0x7F80_0000`) counted as zero: exact and order-free. Sixteen
+/// independent lanes keep the max branch-free and vectorisable.
 pub(crate) fn int8_scale(data: &[f32]) -> f32 {
     const E_MAX: i32 = 121;
-    let mut amax = 0.0f32;
-    for &v in data {
-        if v.is_finite() {
-            amax = amax.max(v.abs());
+    // Below 2^31, so the signed max (native on every SIMD level) is exact.
+    fn finite_magnitude(v: f32) -> i32 {
+        let magnitude = (v.to_bits() & 0x7FFF_FFFF) as i32;
+        if magnitude < 0x7F80_0000 {
+            magnitude
+        } else {
+            0
         }
     }
-    if amax == 0.0 {
+    let mut lanes = [0i32; 16];
+    let blocks = data.chunks_exact(lanes.len());
+    let tail = blocks.remainder();
+    for block in blocks {
+        for (lane, &v) in lanes.iter_mut().zip(block) {
+            *lane = (*lane).max(finite_magnitude(v));
+        }
+    }
+    let amax_bits = lanes
+        .into_iter()
+        .chain(tail.iter().map(|&v| finite_magnitude(v)))
+        .fold(0, i32::max) as u32;
+    if amax_bits == 0 {
         return 1.0;
     }
+    let amax = f32::from_bits(amax_bits);
     // Seed e from amax's exponent (amax >= 2^ex, 127 < 2^7), then settle
     // minimality in at most a couple of steps. Subnormal amax seeds at the
     // bottom of the range, which the clamp already covers.
-    let ex = ((amax.to_bits() >> 23) & 0xFF) as i32 - 127;
+    let ex = (amax_bits >> 23) as i32 - 127;
     let mut e = (ex - 7).clamp(-126, E_MAX);
     while e < E_MAX && 127.0 * exp2i(e) < amax {
         e += 1;
@@ -297,10 +314,82 @@ pub(crate) fn int8_scale(data: &[f32]) -> f32 {
 }
 
 /// Quantizes one element against the reciprocal of the tensor scale:
-/// `round(v / scale)` clamped to ±127. The multiply is exact (the scale is
-/// a power of two), NaN maps to code 0 and ±∞ saturate symmetrically.
+/// `round(v / scale)`, halves rounded away from zero, clamped to ±127. The
+/// multiply is exact (the scale is a power of two), NaN maps to code 0 and
+/// ±∞ saturate symmetrically.
+///
+/// No libm call and no branch: the magnitude is clamped to `[0, 127]`
+/// first (NaN to 0), adding `2^23` rounds it to an integer — ties to even,
+/// in the default rounding mode — which lands in the low mantissa bits, and
+/// a tie that went down to even is pushed up. Checked bit for bit against
+/// `f32::round` on all 2³² inputs (the exhaustive test below).
+#[inline]
 pub(crate) fn int8_quantize(v: f32, inv_scale: f32) -> i8 {
-    (v * inv_scale).round().clamp(-127.0, 127.0) as i8
+    const TWO_POW_23: f32 = 8_388_608.0;
+    let x = v * inv_scale;
+    let magnitude = if x.is_nan() { 0.0 } else { x.abs().min(127.0) };
+    let biased = magnitude + TWO_POW_23;
+    let even = (biased.to_bits() - TWO_POW_23.to_bits()) as i32;
+    // `magnitude - (biased - 2^23)` is exact (Sterbenz): the rounded integer
+    // is 0, or within a factor of two of a magnitude at most 1/2 away.
+    let code = even + i32::from(magnitude - (biased - TWO_POW_23) == 0.5);
+    let negative = (x.to_bits() >> 31) as i32;
+    ((code ^ -negative) + negative) as i8
+}
+
+/// Int8 codes of a whole element section: `codes[i]` is
+/// [`int8_quantize`]`(data[i], 1 / scale)` as its two's-complement byte.
+/// Shared by the wire encoder and [`UpdateCodec::round_trip`].
+pub(crate) fn int8_encode(data: &[f32], scale: f32, codes: &mut [u8]) {
+    let inv = scale.recip();
+    for (code, &v) in codes.iter_mut().zip(data) {
+        *code = int8_quantize(v, inv) as u8;
+    }
+}
+
+/// Dequantizes an Int8 element section: `code * scale`, exact.
+pub(crate) fn int8_decode(codes: &[u8], scale: f32) -> Vec<f32> {
+    codes
+        .iter()
+        .map(|&code| f32::from(code as i8) * scale)
+        .collect()
+}
+
+/// The Bf16 element section of `data`: each element's rounded high half,
+/// little-endian, two bytes per element.
+pub(crate) fn bf16_encode(data: &[f32], section: &mut [u8]) {
+    for (bytes, &v) in section.chunks_exact_mut(2).zip(data) {
+        bytes.copy_from_slice(&bf16_hi_bits(v).to_le_bytes());
+    }
+}
+
+/// Widens a Bf16 element section back to `f32`.
+pub(crate) fn bf16_decode(section: &[u8]) -> Vec<f32> {
+    // Filled in place: collecting straight from `chunks_exact` does not
+    // vectorise.
+    let mut data = vec![0.0f32; section.len() / 2];
+    for (v, bytes) in data.iter_mut().zip(section.chunks_exact(2)) {
+        *v = bf16_from_hi(u16::from_le_bytes([bytes[0], bytes[1]]));
+    }
+    data
+}
+
+/// The Raw element section of `data`: every `f32` as its exact little-endian
+/// bit pattern, four bytes per element.
+pub(crate) fn raw_encode(data: &[f32], section: &mut [u8]) {
+    for (bytes, &v) in section.chunks_exact_mut(4).zip(data) {
+        bytes.copy_from_slice(&v.to_bits().to_le_bytes());
+    }
+}
+
+/// Reads a Raw element section back into exact `f32` bit patterns, filled
+/// in place like [`bf16_decode`].
+pub(crate) fn raw_decode(section: &[u8]) -> Vec<f32> {
+    let mut data = vec![0.0f32; section.len() / 4];
+    for (v, bytes) in data.iter_mut().zip(section.chunks_exact(4)) {
+        *v = f32::from_bits(u32::from_le_bytes([bytes[0], bytes[1], bytes[2], bytes[3]]));
+    }
+    data
 }
 
 /// The kept index set of the TopK codec, in ascending order: the
@@ -405,6 +494,163 @@ mod tests {
         }
         assert_eq!(int8_scale(&[0.0, -0.0]), 1.0);
         assert_eq!(int8_scale(&[f32::NAN, f32::INFINITY]), 1.0);
+    }
+
+    /// The original `f32::max`-chain scale, kept as the oracle of
+    /// [`int8_scale`]'s integer max.
+    fn seed_int8_scale(data: &[f32]) -> f32 {
+        let mut amax = 0.0f32;
+        for &v in data {
+            if v.is_finite() {
+                amax = amax.max(v.abs());
+            }
+        }
+        if amax == 0.0 {
+            return 1.0;
+        }
+        let ex = ((amax.to_bits() >> 23) & 0xFF) as i32 - 127;
+        let mut e = (ex - 7).clamp(-126, 121);
+        while e < 121 && 127.0 * exp2i(e) < amax {
+            e += 1;
+        }
+        while e > -126 && 127.0 * exp2i(e - 1) >= amax {
+            e -= 1;
+        }
+        exp2i(e)
+    }
+
+    /// The original libm-rounding quantizer, kept as the oracle of
+    /// [`int8_quantize`].
+    fn seed_int8_quantize(v: f32, inv_scale: f32) -> i8 {
+        (v * inv_scale).round().clamp(-127.0, 127.0) as i8
+    }
+
+    /// Inputs a rounding kernel is most likely to get wrong: signed zeros,
+    /// the ±0.5 / ±1.5 / ±126.5 / ±127.5 ties and their neighbours, the
+    /// saturation edge, subnormals, NaN payloads and infinities.
+    fn int8_edge_cases() -> Vec<f32> {
+        let mut cases = vec![
+            0.0,
+            -0.0,
+            128.0,
+            -128.0,
+            127.0,
+            -127.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            f32::from_bits(1),
+            f32::from_bits(0x8000_0001),
+            f32::from_bits(0x007F_FFFF),
+            f32::from_bits(0x807F_FFFF),
+            f32::MAX,
+            f32::MIN,
+            f32::INFINITY,
+            f32::NEG_INFINITY,
+            f32::NAN,
+            f32::from_bits(0x7FC0_1234),
+            f32::from_bits(0xFFC0_0001),
+            f32::from_bits(0x7F80_0001),
+            f32::from_bits(0xFF80_0001),
+            8_388_608.0,
+            -8_388_609.0,
+        ];
+        for tie in [0.5f32, 1.5, 2.5, 63.5, 64.5, 126.5, 127.5] {
+            for v in [tie, -tie] {
+                cases.extend([
+                    v,
+                    f32::from_bits(v.to_bits() - 1),
+                    f32::from_bits(v.to_bits() + 1),
+                ]);
+            }
+        }
+        cases
+    }
+
+    /// Power-of-two reciprocal scales spanning the clamped exponent range.
+    fn int8_inverse_scales() -> Vec<f32> {
+        [-121, -60, -7, -1, 0, 1, 7, 60, 126]
+            .into_iter()
+            .map(exp2i)
+            .collect()
+    }
+
+    #[test]
+    fn int8_quantize_matches_the_seed_on_edge_cases_and_a_strided_sweep() {
+        for inv in int8_inverse_scales() {
+            for v in int8_edge_cases() {
+                assert_eq!(
+                    int8_quantize(v, inv),
+                    seed_int8_quantize(v, inv),
+                    "v = {v:e} ({:#010x}), inv = {inv:e}",
+                    v.to_bits()
+                );
+            }
+        }
+        // Every 65 521st bit pattern (a prime stride, so every mantissa and
+        // exponent residue is visited), at scale 1: the product is then the
+        // input itself, and the kernel is a function of that product alone.
+        let mut bits = 0u32;
+        loop {
+            let v = f32::from_bits(bits);
+            assert_eq!(
+                int8_quantize(v, 1.0),
+                seed_int8_quantize(v, 1.0),
+                "v = {v:e} ({bits:#010x})"
+            );
+            match bits.checked_add(65_521) {
+                Some(next) => bits = next,
+                None => break,
+            }
+        }
+    }
+
+    /// All 2³² inputs at scale 1, where the product is the input itself —
+    /// every product any scale can form is covered, so this is a proof of
+    /// equality with the libm rounding. Runs in CI in release mode:
+    /// `cargo test --release -p pelta-fl --lib -- --ignored int8_quantize_matches_the_seed_on_every_f32`.
+    #[test]
+    #[ignore = "exhaustive 2^32 sweep, ~40 s optimised; CI runs it in release mode"]
+    fn int8_quantize_matches_the_seed_on_every_f32() {
+        let mismatches = (0..=u32::MAX)
+            .filter(|&bits| {
+                let v = f32::from_bits(bits);
+                int8_quantize(v, 1.0) != seed_int8_quantize(v, 1.0)
+            })
+            .count();
+        assert_eq!(mismatches, 0);
+    }
+
+    #[test]
+    fn int8_scale_matches_the_seed() {
+        let edges = int8_edge_cases();
+        assert_eq!(
+            int8_scale(&edges).to_bits(),
+            seed_int8_scale(&edges).to_bits()
+        );
+        assert_eq!(int8_scale(&[]).to_bits(), seed_int8_scale(&[]).to_bits());
+        // Every edge case alone, and every pair, in both orders.
+        for &a in &edges {
+            for &b in &edges {
+                for pair in [[a, b], [b, a]] {
+                    assert_eq!(
+                        int8_scale(&pair).to_bits(),
+                        seed_int8_scale(&pair).to_bits(),
+                        "{pair:?}"
+                    );
+                }
+            }
+        }
+        // A strided sweep of single magnitudes across every exponent.
+        let mut bits = 0u32;
+        while let Some(next) = bits.checked_add(65_521) {
+            let v = [f32::from_bits(bits), 0.25];
+            assert_eq!(
+                int8_scale(&v).to_bits(),
+                seed_int8_scale(&v).to_bits(),
+                "{v:?}"
+            );
+            bits = next;
+        }
     }
 
     #[test]

@@ -61,7 +61,8 @@ use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
 use crate::codec::{
-    bf16_from_hi, bf16_hi_bits, int8_quantize, int8_scale, topk_indices, UpdateCodec,
+    bf16_decode, bf16_encode, int8_decode, int8_encode, int8_scale, raw_decode, raw_encode,
+    topk_indices, UpdateCodec,
 };
 use crate::{FlError, Result};
 
@@ -534,7 +535,7 @@ impl Message {
                 let origin = cursor.take_u64()? as usize;
                 let round = cursor.take_u64()? as usize;
                 let count = cursor.take_u32()? as usize;
-                let mut members = Vec::with_capacity(count.min(4096));
+                let mut members = Vec::with_capacity(cursor.capacity_for(count, 32));
                 for _ in 0..count {
                     let (update, shielded) = cursor.take_update_payload(wire_codec)?;
                     members.push(MemberUpdate { update, shielded });
@@ -579,12 +580,12 @@ impl Message {
                 let client_id = cursor.take_u64()? as usize;
                 let round = cursor.take_u64()? as usize;
                 let count = cursor.take_u32()? as usize;
-                let mut seats = Vec::with_capacity(count.min(4096));
+                let mut seats = Vec::with_capacity(cursor.capacity_for(count, 8));
                 for _ in 0..count {
                     seats.push(cursor.take_u64()? as usize);
                 }
                 let count = cursor.take_u32()? as usize;
-                let mut seeds = Vec::with_capacity(count.min(4096));
+                let mut seeds = Vec::with_capacity(cursor.capacity_for(count, 8));
                 for _ in 0..count {
                     seeds.push(cursor.take_u64()?);
                 }
@@ -749,17 +750,28 @@ fn put_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-/// Encodes a tensor element-wise as IEEE-754 bit patterns (bitwise
-/// lossless). Public to the crate so the shielded-update channel can seal
-/// exactly the bytes the wire would carry.
-pub(crate) fn put_tensor(out: &mut Vec<u8>, tensor: &Tensor) {
+/// Appends `len` zeroed bytes to `out` and returns them: the section an
+/// element kernel fills in place.
+fn put_section(out: &mut Vec<u8>, len: usize) -> &mut [u8] {
+    let start = out.len();
+    out.resize(start + len, 0);
+    &mut out[start..]
+}
+
+/// The `rank ‖ dims` framing every tensor layout opens with.
+fn put_dims(out: &mut Vec<u8>, tensor: &Tensor) {
     put_u32(out, tensor.rank() as u32);
     for &dim in tensor.dims() {
         put_u64(out, dim as u64);
     }
-    for &v in tensor.data() {
-        out.extend_from_slice(&v.to_bits().to_le_bytes());
-    }
+}
+
+/// Encodes a tensor as IEEE-754 bit patterns (bitwise lossless). Public to
+/// the crate so the shielded-update channel can seal exactly the bytes the
+/// wire would carry.
+pub(crate) fn put_tensor(out: &mut Vec<u8>, tensor: &Tensor) {
+    put_dims(out, tensor);
+    raw_encode(tensor.data(), put_section(out, 4 * tensor.numel()));
 }
 
 /// Encodes a tensor in the codec's compact wire layout. All four layouts
@@ -772,43 +784,31 @@ pub(crate) fn put_tensor(out: &mut Vec<u8>, tensor: &Tensor) {
 ///   in ascending index order.
 ///
 /// Deterministic by construction: scale derivation, rounding and selection
-/// are the fixed scalar computations of [`crate::codec`], so encoding the
-/// same tensor always yields the same bytes — and encoding a dequantized
-/// tensor yields the *same* bytes again (idempotence).
+/// are the fixed element kernels of [`crate::codec`] (the same ones
+/// [`UpdateCodec::round_trip`] runs), so encoding the same tensor always
+/// yields the same bytes — and encoding a dequantized tensor yields the
+/// *same* bytes again (idempotence).
 fn put_tensor_coded(out: &mut Vec<u8>, tensor: &Tensor, codec: UpdateCodec) {
+    let data = tensor.data();
     match codec {
         UpdateCodec::Raw => put_tensor(out, tensor),
         UpdateCodec::Bf16 => {
-            put_u32(out, tensor.rank() as u32);
-            for &dim in tensor.dims() {
-                put_u64(out, dim as u64);
-            }
-            for &v in tensor.data() {
-                out.extend_from_slice(&bf16_hi_bits(v).to_le_bytes());
-            }
+            put_dims(out, tensor);
+            bf16_encode(data, put_section(out, 2 * data.len()));
         }
         UpdateCodec::Int8 => {
-            put_u32(out, tensor.rank() as u32);
-            for &dim in tensor.dims() {
-                put_u64(out, dim as u64);
-            }
-            let scale = int8_scale(tensor.data());
-            let inv = scale.recip();
+            put_dims(out, tensor);
+            let scale = int8_scale(data);
             put_u32(out, scale.to_bits());
-            for &v in tensor.data() {
-                out.push(int8_quantize(v, inv) as u8);
-            }
+            int8_encode(data, scale, put_section(out, data.len()));
         }
         UpdateCodec::TopK { k } => {
-            put_u32(out, tensor.rank() as u32);
-            for &dim in tensor.dims() {
-                put_u64(out, dim as u64);
-            }
-            let kept = topk_indices(tensor.data(), k);
+            put_dims(out, tensor);
+            let kept = topk_indices(data, k);
             put_u32(out, kept.len() as u32);
             for index in kept {
                 put_u32(out, index as u32);
-                put_u32(out, tensor.data()[index].to_bits());
+                put_u32(out, data[index].to_bits());
             }
         }
     }
@@ -904,20 +904,15 @@ impl<'a> Cursor<'a> {
     /// Overflow-checked element count of an untrusted shape, bounded by
     /// `budget`. A frame is untrusted input, so the dim product must be
     /// overflow-checked — a wrapping product could smuggle a bogus shape
-    /// past the length check (or panic in debug builds). A zero dim makes
-    /// the count legitimately zero whatever the sibling dims claim.
+    /// past the length check (or panic in debug builds). The product runs
+    /// left to right, exactly as `Tensor` multiplies its shape, so a shape
+    /// accepted here never overflows there either: a zero dim makes the
+    /// count legitimately zero, but only once the dims before it fit.
     fn checked_numel(dims: &[usize], budget: usize) -> Result<usize> {
-        let mut numel = 0usize;
-        if !dims.contains(&0) {
-            numel = 1;
-            for &dim in dims {
-                numel = match numel.checked_mul(dim) {
-                    Some(n) if n <= budget => n,
-                    _ => return wire_err("tensor larger than remaining payload"),
-                };
-            }
+        match dims.iter().try_fold(1usize, |n, &dim| n.checked_mul(dim)) {
+            Some(numel) if numel <= budget => Ok(numel),
+            _ => wire_err("tensor larger than remaining payload"),
         }
-        Ok(numel)
     }
 
     /// Bytes left in the payload, the base of every element-count budget.
@@ -925,16 +920,22 @@ impl<'a> Cursor<'a> {
         self.data.len().saturating_sub(self.pos)
     }
 
+    /// Capacity to reserve for an unverified `count` of entries that each
+    /// take at least `min_len` payload bytes: never more than the remaining
+    /// payload could hold, so a hostile count cannot force a large
+    /// allocation before the entries themselves fail to parse.
+    fn capacity_for(&self, count: usize, min_len: usize) -> usize {
+        count.min(self.remaining() / min_len)
+    }
+
+    /// Reads a Raw tensor. The element count is bounded by the remaining
+    /// payload before the section is taken, and the section is taken before
+    /// anything is allocated, so a hostile frame can never make the decoder
+    /// allocate more than its own length implies.
     fn take_tensor(&mut self) -> Result<Tensor> {
         let dims = self.take_dims()?;
-        // The remaining payload bounds every plausible element count at 4
-        // bytes per element.
         let numel = Self::checked_numel(&dims, self.remaining() / 4 + 1)?;
-        let mut data = Vec::with_capacity(numel);
-        for _ in 0..numel {
-            let bits = self.take_u32()?;
-            data.push(f32::from_bits(bits));
-        }
+        let data = raw_decode(self.take(4 * numel)?);
         Tensor::from_vec(data, &dims).or_else(|_| wire_err("inconsistent tensor framing"))
     }
 
@@ -943,28 +944,22 @@ impl<'a> Cursor<'a> {
     /// any framing violation (indices out of range or out of order, claimed
     /// shapes larger than the payload can hold) errors instead of
     /// panicking, and well-formed input reconstructs exact bit patterns.
+    /// Dense sections are bounded and taken whole, as in
+    /// [`Cursor::take_tensor`], then widened by one element kernel.
     fn take_tensor_coded(&mut self, codec: WireCodec) -> Result<Tensor> {
         match codec {
             WireCodec::Raw => self.take_tensor(),
             WireCodec::Bf16 => {
                 let dims = self.take_dims()?;
                 let numel = Self::checked_numel(&dims, self.remaining() / 2 + 1)?;
-                let mut data = Vec::with_capacity(numel);
-                for _ in 0..numel {
-                    let hi = u16::from_le_bytes(self.take(2)?.try_into().expect("2 bytes"));
-                    data.push(bf16_from_hi(hi));
-                }
+                let data = bf16_decode(self.take(2 * numel)?);
                 Tensor::from_vec(data, &dims).or_else(|_| wire_err("inconsistent tensor framing"))
             }
             WireCodec::Int8 => {
                 let dims = self.take_dims()?;
                 let scale = f32::from_bits(self.take_u32()?);
                 let numel = Self::checked_numel(&dims, self.remaining() + 1)?;
-                let mut data = Vec::with_capacity(numel);
-                for _ in 0..numel {
-                    let code = self.take_u8()? as i8;
-                    data.push(f32::from(code) * scale);
-                }
+                let data = int8_decode(self.take(numel)?, scale);
                 Tensor::from_vec(data, &dims).or_else(|_| wire_err("inconsistent tensor framing"))
             }
             WireCodec::TopK => {
@@ -1002,14 +997,14 @@ impl<'a> Cursor<'a> {
         let client_id = self.take_u64()? as usize;
         let num_samples = self.take_u64()? as usize;
         let count = self.take_u32()? as usize;
-        let mut parameters = Vec::with_capacity(count.min(4096));
+        let mut parameters = Vec::with_capacity(self.capacity_for(count, 8));
         for _ in 0..count {
             let name = self.take_str()?;
             let tensor = self.take_tensor_coded(codec)?;
             parameters.push((name, tensor));
         }
         let blobs = self.take_u32()? as usize;
-        let mut shielded = Vec::with_capacity(blobs.min(1024));
+        let mut shielded = Vec::with_capacity(self.capacity_for(blobs, 12));
         for _ in 0..blobs {
             let ciphertext = self.take_bytes()?;
             let checksum = self.take_u64()?;
@@ -1028,7 +1023,7 @@ impl<'a> Cursor<'a> {
 
     fn take_params(&mut self) -> Result<Vec<(String, Tensor)>> {
         let count = self.take_u32()? as usize;
-        let mut parameters = Vec::with_capacity(count.min(4096));
+        let mut parameters = Vec::with_capacity(self.capacity_for(count, 8));
         for _ in 0..count {
             let name = self.take_str()?;
             let tensor = self.take_tensor()?;

@@ -116,6 +116,7 @@
 //! rule — `tests/robust_properties.rs` and `tests/topology_equivalence.rs`
 //! pin this to the bit.
 
+use pelta_tensor::pool::{self, parallel_map_mut, ThreadPool};
 use pelta_tensor::Tensor;
 use serde::{Deserialize, Serialize};
 
@@ -331,7 +332,7 @@ impl AggregationFold {
         match self.rule {
             AggregationRule::FedAvg => {
                 let weight = update.num_samples as f32;
-                self.accumulate(update, weight)?;
+                self.accumulate(update, weight);
             }
             AggregationRule::NormClipping { max_norm } => {
                 // The clip scale depends only on this update and the fixed
@@ -344,7 +345,7 @@ impl AggregationFold {
                 } else {
                     1.0
                 };
-                self.accumulate(update, scale)?;
+                self.accumulate(update, scale);
             }
             AggregationRule::TrimmedMean { .. }
             | AggregationRule::Krum { .. }
@@ -385,13 +386,25 @@ impl AggregationFold {
         Ok(())
     }
 
-    /// Adds `weight · (paramsᵤ − ref)` to the running per-parameter sums.
-    fn accumulate(&mut self, update: &ModelUpdate, weight: f32) -> Result<()> {
-        for (index, (_, reference)) in self.reference.iter().enumerate() {
-            let delta = update.parameters[index].1.sub(reference)?;
-            self.sums[index] = self.sums[index].axpy(weight, &delta)?;
+    /// Adds `weight · (paramsᵤ − ref)` to the running per-parameter sums, in
+    /// place: `s + w·(p − r)` per element, the same expression (and, with no
+    /// FMA contraction in Rust, the same bits) as materialising the delta.
+    fn accumulate(&mut self, update: &ModelUpdate, weight: f32) {
+        for ((sum, (_, reference)), (_, value)) in self
+            .sums
+            .iter_mut()
+            .zip(&self.reference)
+            .zip(&update.parameters)
+        {
+            for ((s, &p), &r) in sum
+                .data_mut()
+                .iter_mut()
+                .zip(value.data())
+                .zip(reference.data())
+            {
+                *s += weight * (p - r);
+            }
         }
-        Ok(())
     }
 
     /// Closes the fold and returns the next global parameters.
@@ -410,7 +423,7 @@ impl AggregationFold {
             AggregationRule::NormClipping { .. } => self.normalized(1.0 / self.folded as f32),
             AggregationRule::TrimmedMean { trim } => {
                 let ordered: Vec<&ModelUpdate> = self.buffered.iter().collect();
-                trimmed_mean(&self.reference, &ordered, trim)
+                trimmed_mean(&pool::global(), &self.reference, &ordered, trim)
             }
             AggregationRule::Krum { f } => {
                 let ordered: Vec<&ModelUpdate> = self.buffered.iter().collect();
@@ -541,39 +554,93 @@ fn delta_norm(current: &[(String, Tensor)], update: &ModelUpdate) -> Result<f32>
     Ok(sum.sqrt() as f32)
 }
 
+/// Keys per trimmed-mean task: a task transposes as many coordinates as fit
+/// this many `u32` keys (32 KiB), at least one. Only the work split depends
+/// on it — every coordinate's result is computed whole inside one task.
+const TRIM_TASK_KEYS: usize = 8192;
+
 /// Coordinate-wise trimmed mean of the client parameters (unweighted) — the
 /// second pass of the buffering rule's documented two-pass design: the
 /// round's updates were collected by the [`AggregationFold`], and this pass
 /// sorts each coordinate column and averages the untrimmed interior.
+///
+/// The coordinates of every parameter are cut into blocks that fan out over
+/// `pool`. A task transposes its block into per-coordinate columns of
+/// [`total_order_key`]s, sorts each column and sums the interior in sorted
+/// order. Values that compare equal under `f32::total_cmp` have identical
+/// bits, so the unstable key sort yields exactly the stably sorted column,
+/// and each coordinate's sort and sum run inside one task: the result is
+/// the same bits at any thread count.
 fn trimmed_mean(
+    pool: &ThreadPool,
     current: &[(String, Tensor)],
     updates: &[&ModelUpdate],
     trim: usize,
 ) -> Result<Vec<(String, Tensor)>> {
-    if 2 * trim >= updates.len() {
+    let n = updates.len();
+    if 2 * trim >= n {
         return Err(FlError::InvalidConfig {
             reason: format!(
-                "trimming {trim} from each end of {} updates leaves nothing to average",
-                updates.len()
+                "trimming {trim} from each end of {n} updates leaves nothing to average"
             ),
         });
     }
-    let kept = updates.len() - 2 * trim;
-    let mut aggregated = Vec::with_capacity(current.len());
-    let mut column = vec![0.0f32; updates.len()];
-    for (index, (name, reference)) in current.iter().enumerate() {
-        let mut out = Tensor::zeros(reference.dims());
-        for coord in 0..reference.numel() {
-            for (u, update) in updates.iter().enumerate() {
-                column[u] = update.parameters[index].1.data()[coord];
-            }
-            column.sort_by(f32::total_cmp);
-            let sum: f32 = column[trim..updates.len() - trim].iter().sum();
-            out.data_mut()[coord] = sum / kept as f32;
+    let kept = (n - 2 * trim) as f32;
+    let block = (TRIM_TASK_KEYS / n).max(1);
+    let mut outputs: Vec<Tensor> = current
+        .iter()
+        .map(|(_, reference)| Tensor::zeros(reference.dims()))
+        .collect();
+    let mut tasks: Vec<(usize, usize, &mut [f32])> = Vec::new();
+    for (index, output) in outputs.iter_mut().enumerate() {
+        for (b, chunk) in output.data_mut().chunks_mut(block).enumerate() {
+            tasks.push((index, b * block, chunk));
         }
-        aggregated.push((name.clone(), out));
     }
-    Ok(aggregated)
+    parallel_map_mut(pool, &mut tasks, |_, (index, start, out)| {
+        let len = out.len();
+        let mut keys = vec![0u32; len * n];
+        for (u, update) in updates.iter().enumerate() {
+            let values = &update.parameters[*index].1.data()[*start..*start + len];
+            for (c, &v) in values.iter().enumerate() {
+                keys[c * n + u] = total_order_key(v);
+            }
+        }
+        for (column, out) in keys.chunks_exact_mut(n).zip(out.iter_mut()) {
+            column.sort_unstable();
+            let sum: f32 = column[trim..n - trim]
+                .iter()
+                .map(|&key| from_total_order_key(key))
+                .sum();
+            *out = sum / kept;
+        }
+    });
+    Ok(current
+        .iter()
+        .zip(outputs)
+        .map(|((name, _), output)| (name.clone(), output))
+        .collect())
+}
+
+/// Maps an `f32` to a `u32` whose unsigned order is `f32::total_cmp`'s
+/// order: negative patterns are inverted, non-negative ones get the sign
+/// bit set. A bijection, undone by [`from_total_order_key`].
+fn total_order_key(v: f32) -> u32 {
+    let bits = v.to_bits();
+    if bits >> 31 == 1 {
+        !bits
+    } else {
+        bits | 0x8000_0000
+    }
+}
+
+/// Inverse of [`total_order_key`].
+fn from_total_order_key(key: u32) -> f32 {
+    f32::from_bits(if key >> 31 == 1 {
+        key & 0x7FFF_FFFF
+    } else {
+        !key
+    })
 }
 
 /// Squared L2 distance between two clients' full parameter vectors,
@@ -775,6 +842,227 @@ mod tests {
         assert!(undefended > 50.0, "undefended aggregate {undefended}");
         assert!(defended <= 1.0 + 1e-6, "defended aggregate {defended}");
         assert!(defended > 0.0);
+    }
+
+    /// The original one-column-at-a-time stable-sort trimmed mean, kept as
+    /// the oracle of the blocked key-sort kernel.
+    fn seed_trimmed_mean(
+        current: &[(String, Tensor)],
+        updates: &[&ModelUpdate],
+        trim: usize,
+    ) -> Vec<(String, Tensor)> {
+        let kept = updates.len() - 2 * trim;
+        let mut aggregated = Vec::with_capacity(current.len());
+        let mut column = vec![0.0f32; updates.len()];
+        for (index, (name, reference)) in current.iter().enumerate() {
+            let mut out = Tensor::zeros(reference.dims());
+            for coord in 0..reference.numel() {
+                for (u, update) in updates.iter().enumerate() {
+                    column[u] = update.parameters[index].1.data()[coord];
+                }
+                column.sort_by(f32::total_cmp);
+                let sum: f32 = column[trim..updates.len() - trim].iter().sum();
+                out.data_mut()[coord] = sum / kept as f32;
+            }
+            aggregated.push((name.clone(), out));
+        }
+        aggregated
+    }
+
+    /// A single-threaded pool and a multi-threaded one, shared by every case.
+    fn pools() -> &'static [ThreadPool; 2] {
+        static POOLS: std::sync::OnceLock<[ThreadPool; 2]> = std::sync::OnceLock::new();
+        POOLS.get_or_init(|| {
+            [
+                ThreadPool::new(1),
+                ThreadPool::new(pool::env_threads().max(4)),
+            ]
+        })
+    }
+
+    /// Asserts the blocked kernel reproduces the seed oracle bit for bit on
+    /// both pools.
+    fn assert_trimmed_mean_matches_the_seed(
+        current: &[(String, Tensor)],
+        updates: &[ModelUpdate],
+        trim: usize,
+    ) {
+        let ordered: Vec<&ModelUpdate> = updates.iter().collect();
+        let expected = seed_trimmed_mean(current, &ordered, trim);
+        for pool in pools() {
+            let got = trimmed_mean(pool, current, &ordered, trim).unwrap();
+            assert_eq!(got.len(), expected.len());
+            for ((name, a), (want, b)) in got.iter().zip(&expected) {
+                assert_eq!(name, want);
+                assert_eq!(a.dims(), b.dims());
+                for (coord, (x, y)) in a.data().iter().zip(b.data()).enumerate() {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "{name}[{coord}] at {} threads, trim {trim}",
+                        pool.threads()
+                    );
+                }
+            }
+        }
+    }
+
+    /// One finite value per draw (the fold rejects non-finite updates):
+    /// special patterns, a handful of heavily duplicated values, small
+    /// uniform magnitudes and raw bit patterns, non-finite ones folded onto
+    /// `±f32::MAX` — whose sums still overflow to ±∞.
+    fn drawn_value(draw: u32) -> f32 {
+        const SPECIAL: [f32; 8] = [
+            0.0,
+            -0.0,
+            f32::MIN_POSITIVE,
+            -f32::MIN_POSITIVE,
+            1.0e-45,
+            -1.0e-45,
+            f32::MAX,
+            f32::MIN,
+        ];
+        let rest = draw / 4;
+        match draw % 4 {
+            0 => SPECIAL[rest as usize % SPECIAL.len()],
+            1 => [1.0, -1.0, 0.5, 0.25][rest as usize % 4],
+            2 => rest as f32 / (u32::MAX / 4) as f32 - 0.5,
+            _ => {
+                let v = f32::from_bits(draw.rotate_left(7));
+                if v.is_finite() {
+                    v
+                } else {
+                    f32::MAX.copysign(v)
+                }
+            }
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(48))]
+        #[test]
+        fn trimmed_mean_matches_the_seed_bit_for_bit(
+            clients in 1usize..=24,
+            trim_draw in 0usize..=12,
+            numels in proptest::collection::vec(0usize..=700, 1..=3),
+            draws in proptest::collection::vec(0u32..=u32::MAX, 1..=512),
+        ) {
+            // Every admissible trim, including 0 and n = 2·trim + 1.
+            let trim = trim_draw % ((clients - 1) / 2 + 1);
+            let current: Vec<(String, Tensor)> = numels
+                .iter()
+                .enumerate()
+                .map(|(i, &numel)| (format!("p{i}"), Tensor::zeros(&[numel])))
+                .collect();
+            let mut next = 0usize;
+            let updates: Vec<ModelUpdate> = (0..clients)
+                .map(|client| ModelUpdate {
+                    client_id: client,
+                    round: 0,
+                    num_samples: 1,
+                    parameters: numels
+                        .iter()
+                        .enumerate()
+                        .map(|(i, &numel)| {
+                            let values: Vec<f32> = (0..numel)
+                                .map(|_| {
+                                    next += 1;
+                                    drawn_value(draws[(next * 7 + client) % draws.len()])
+                                })
+                                .collect();
+                            (format!("p{i}"), Tensor::from_vec(values, &[numel]).unwrap())
+                        })
+                        .collect(),
+                })
+                .collect();
+            assert_trimmed_mean_matches_the_seed(&current, &updates, trim);
+        }
+    }
+
+    #[test]
+    fn trimmed_mean_matches_the_seed_at_population_scale() {
+        // 256 seats, trim 8, two parameters spanning many task blocks; the
+        // second is all signed zeros, whose interior sum keeps its sign.
+        let current = vec![
+            ("w".to_string(), Tensor::zeros(&[97, 3])),
+            ("z".to_string(), Tensor::zeros(&[40])),
+        ];
+        let updates: Vec<ModelUpdate> = (0..256)
+            .map(|client| ModelUpdate {
+                client_id: client,
+                round: 0,
+                num_samples: 1,
+                parameters: vec![
+                    (
+                        "w".to_string(),
+                        Tensor::from_vec(
+                            (0..291)
+                                .map(|c| {
+                                    drawn_value(((client * 2_654_435_761) ^ (c * 40_503)) as u32)
+                                })
+                                .collect(),
+                            &[97, 3],
+                        )
+                        .unwrap(),
+                    ),
+                    (
+                        "z".to_string(),
+                        Tensor::from_vec(vec![-0.0; 40], &[40]).unwrap(),
+                    ),
+                ],
+            })
+            .collect();
+        for trim in [0, 8, 127] {
+            assert_trimmed_mean_matches_the_seed(&current, &updates, trim);
+        }
+    }
+
+    #[test]
+    fn streaming_fold_matches_the_materialised_delta_sums() {
+        // The in-place `s + w·(p − r)` against the seed's `sub` + `axpy`.
+        let reference = vec![(
+            "w".to_string(),
+            Tensor::from_vec(vec![0.1, -2.5, 3.0e-39, 7.0], &[2, 2]).unwrap(),
+        )];
+        let updates = [
+            (3usize, [0.3f32, -2.25, -1.0e-38, 1.0e30]),
+            (7, [1.0e-7, 9.5, 0.0, -3.0]),
+            (11, [-0.1, -2.5, 2.0e-39, 7.000_001]),
+        ];
+        for rule in [
+            AggregationRule::FedAvg,
+            AggregationRule::NormClipping { max_norm: 1.5 },
+        ] {
+            let mut fold = AggregationFold::new(&reference, 0, rule).unwrap();
+            let mut sum = Tensor::zeros(&[2, 2]);
+            for (samples, values) in updates {
+                let update = ModelUpdate {
+                    client_id: samples,
+                    round: 0,
+                    num_samples: samples,
+                    parameters: vec![(
+                        "w".to_string(),
+                        Tensor::from_vec(values.to_vec(), &[2, 2]).unwrap(),
+                    )],
+                };
+                let weight = match rule {
+                    AggregationRule::FedAvg => samples as f32,
+                    _ => {
+                        let norm = delta_norm(&reference, &update).unwrap();
+                        if norm > 1.5 {
+                            1.5 / norm
+                        } else {
+                            1.0
+                        }
+                    }
+                };
+                let delta = update.parameters[0].1.sub(&reference[0].1).unwrap();
+                sum = sum.axpy(weight, &delta).unwrap();
+                fold.fold(update).unwrap();
+            }
+            let bits = |t: &Tensor| t.data().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&fold.sums[0]), bits(&sum), "{rule:?}");
+        }
     }
 
     #[test]
